@@ -63,7 +63,7 @@ from repro.lang.image import Image
 from repro.lang.types import DType
 from repro.pipeline.graph import Stage
 from repro.pipeline.ir import StageIR
-from repro.poly.affine import AffExpr, analyze_access, to_affine
+from repro.poly.affine import AffExpr, to_affine
 from repro.poly.iset import DimBounds
 
 PRELUDE = r"""
@@ -411,10 +411,10 @@ NativePipeline` reads back through ctypes.  Uninstrumented output is
         ctx = self._fast_ctx
         indices = []
         hoist: list[bool] | None = [] if ctx is not None else None
+        forms = self.plan.ir.access_forms(ref)
         for d, arg in enumerate(ref.args):
             idx = self.expr(arg, var_names)
-            form = analyze_access(arg)
-            if form is None and not (
+            if forms[d] is None and not (
                     ctx is not None
                     and (id(ref), d) in ctx.plan.drop_clamps):
                 # data-dependent index: clamp to the stored extent, like

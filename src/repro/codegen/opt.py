@@ -39,7 +39,6 @@ from repro.lang.expr import (
     BinOp, Call, Cast, Expr, Literal, Reference, Select, UnOp,
 )
 from repro.pipeline.ir import StageIR
-from repro.poly.affine import analyze_access
 from repro.poly.interval import IntInterval, evaluate_expr
 
 
@@ -197,8 +196,9 @@ def analyze_case(gen, stage_ir: StageIR, case,
 
     for node in _walk(case.expression):
         if isinstance(node, Reference):
+            forms = gen.plan.ir.access_forms(node)
             for d, arg in enumerate(node.args):
-                if analyze_access(arg) is not None:
+                if forms[d] is not None:
                     continue  # affine: already clamp-free and region-proven
                 plan.n_clamped_dims += 1
                 rng = c_range(arg, gen, var_bounds)
@@ -338,6 +338,9 @@ class StageFastInfo:
 class _NullNamer:
     """Parameter/extent naming shim for analysis without a generator."""
 
+    def __init__(self, plan):
+        self.plan = plan
+
     def param(self, p: Parameter) -> str:
         return p.name
 
@@ -384,8 +387,9 @@ def _interior_fraction(plan, stage_ir: StageIR, env: dict) -> float | None:
     for case in stage_ir.cases:
         for node in _walk(case.expression):
             if isinstance(node, Reference):
+                forms = plan.ir.access_forms(node)
                 for d, arg in enumerate(node.args):
-                    if analyze_access(arg) is not None:
+                    if forms[d] is not None:
                         continue
                     total += 1
                     rng = evaluate_expr(arg, var_env)
@@ -411,7 +415,7 @@ def _interior_fraction(plan, stage_ir: StageIR, env: dict) -> float | None:
 
 def specialization_report(plan) -> list[StageFastInfo]:
     """Per-stage fast-path facts for ``explain()``/``summary()``."""
-    null = _NullNamer()
+    null = _NullNamer(plan)
     infos: list[StageFastInfo] = []
     env = dict(plan.estimates)
     for gi, gp in enumerate(plan.group_plans):

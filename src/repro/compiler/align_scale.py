@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 
 from repro.lang.constructs import Variable
 from repro.pipeline.graph import Stage
-from repro.pipeline.ir import PipelineIR, StageIR
+from repro.pipeline.ir import PipelineIR
 from repro.poly.imap import Schedule, ScheduleDim
 
 
@@ -86,49 +86,6 @@ class GroupTransforms:
         return Schedule(level, tuple(dims))  # type: ignore[arg-type]
 
 
-def _access_requirements(consumer_ir: StageIR, producer: Stage):
-    """Per-access (producer_dim -> binding) maps.
-
-    A binding is either ``(var, coeff, divisor)`` for an index driven by
-    one consumer variable, or ``("const", value)`` for a constant index
-    (e.g. the alpha channel read ``d(3, x, y)``) — the latter yields a
-    bounded dependence when the consumer dimension it pairs with has
-    constant extent, which :func:`repro.compiler.deps.edge_dependences`
-    verifies.
-
-    Returns ``None`` when any access to the producer is unusable for
-    constant dependences: non-affine, index mixing several variables,
-    parametric offsets, or non-positive variable coefficients.
-    """
-    requirement_sets = []
-    for access in consumer_ir.accesses_to(producer):
-        mapping = {}
-        for d, form in enumerate(access.forms):
-            if form is None:
-                return None
-            if form.aff.parameters():
-                return None  # parametric offset -> non-constant dependence
-            variables = form.aff.variables()
-            if len(variables) == 0:
-                mapping[d] = ("const", form.aff.const / form.divisor)
-                continue
-            if len(variables) != 1:
-                return None
-            var = variables[0]
-            coeff = form.aff.coefficient(var)
-            if coeff <= 0:
-                return None  # reflections/degenerate accesses not alignable
-            mapping[d] = (var, coeff, form.divisor)
-        if len(mapping) != len(access.forms):
-            return None
-        # each producer dim must bind a distinct consumer variable
-        bound_vars = [b[0] for b in mapping.values() if b[0] != "const"]
-        if len(set(map(id, bound_vars))) != len(bound_vars):
-            return None
-        requirement_sets.append(mapping)
-    return requirement_sets
-
-
 def compute_group_transforms(ir: PipelineIR, stages: Iterable[Stage],
                              root: Stage) -> GroupTransforms | None:
     """Align and scale all ``stages`` against the ``root`` stage.
@@ -138,7 +95,9 @@ def compute_group_transforms(ir: PipelineIR, stages: Iterable[Stage],
     ``v`` of scale ``s_c``, the producer's dimension ``d`` must have scale
     ``s_p = s_c * m / a`` for the dependence along that dimension to be a
     bounded constant.  Conflicting requirements (from different consumers
-    or different accesses) make the group infeasible.
+    or different accesses) make the group infeasible.  The requirements
+    come de-duplicated from :meth:`PipelineIR.edge_summary`, so a stencil
+    costs one check per distinct ``(v, m / a)`` binding, not one per tap.
     """
     group = set(stages)
     if root not in group:
@@ -152,8 +111,7 @@ def compute_group_transforms(ir: PipelineIR, stages: Iterable[Stage],
                              tuple(Fraction(1) for _ in range(root_ir.ndim)))}
 
     # Process consumers before their producers (reverse topological order).
-    order = [s for s in ir.graph.topological_order() if s in group]
-    for consumer in reversed(order):
+    for consumer in reversed(ir.graph.ordered(group)):
         if consumer not in transforms:
             # Not reachable from the root through in-group consumers: the
             # candidate set is not a well-formed group.
@@ -169,30 +127,25 @@ def compute_group_transforms(ir: PipelineIR, stages: Iterable[Stage],
             producer_ir = ir[producer]
             if producer_ir.is_accumulator or producer_ir.is_self_referential:
                 return None
-            requirement_sets = _access_requirements(consumer_ir, producer)
-            if requirement_sets is None:
+            requirements = ir.edge_summary(producer, consumer).requirements
+            if requirements is None:
                 return None
-            for mapping in requirement_sets:
+            for bindings in requirements:
                 dim_map: list[int] = []
                 scales: list[Fraction] = []
-                feasible = True
-                for d in range(producer_ir.ndim):
-                    binding = mapping[d]
-                    if binding[0] == "const":
+                for d, binding in enumerate(bindings):
+                    if binding is None:
                         # positional fallback: a constant index pins the
                         # producer dim to the consumer's d-th dimension
                         if d >= consumer_ir.ndim:
-                            feasible = False
-                            break
+                            return None
                         dim_map.append(ct.dim_map[d])
                         scales.append(ct.scales[d])
                         continue
-                    var, coeff, divisor = binding
+                    var, ratio = binding
                     group_dim, consumer_scale = var_info[id(var)]
                     dim_map.append(group_dim)
-                    scales.append(consumer_scale * divisor / coeff)
-                if not feasible:
-                    return None
+                    scales.append(consumer_scale * ratio)
                 if len(set(dim_map)) != len(dim_map):
                     return None  # two producer dims landing on one group dim
                 candidate = StageTransform(tuple(dim_map), tuple(scales))
@@ -202,6 +155,6 @@ def compute_group_transforms(ir: PipelineIR, stages: Iterable[Stage],
                 elif existing != candidate:
                     return None  # e.g. g(x/2) + g(x/4): conflicting scales
 
-    if set(transforms) != group:
+    if len(transforms) != len(group):
         return None
     return GroupTransforms(root, transforms)

@@ -131,42 +131,45 @@ def _constant_extent(consumer_ir, dim: int) -> tuple[Fraction, Fraction]:
 
 def edge_dependences(ir: PipelineIR, transforms: GroupTransforms,
                      producer: Stage, consumer: Stage) -> EdgeDependence:
-    """Dependence ranges of one intra-group edge in group coordinates."""
+    """Dependence ranges of one intra-group edge in group coordinates.
+
+    The per-tap work lives in :meth:`PipelineIR.edge_summary`: what is
+    left is scaling each producer dimension's unit hull by the producer's
+    (positive, so hull-preserving) scale, plus the rare constant-index
+    taps, whose range depends on the consumer's transform.
+    """
+    summary = ir.edge_summary(producer, consumer)
+    assert summary.hulls is not None, "grouped access must be affine"
     consumer_ir = ir[consumer]
     ct = transforms[consumer]
     pt = transforms[producer]
-    ndim = transforms.ndim
-    per_dim: list[DepRange | None] = [None] * ndim
+    per_dim: list[DepRange | None] = [None] * transforms.ndim
 
-    for access in consumer_ir.accesses_to(producer):
-        for d, form in enumerate(access.forms):
-            assert form is not None, "grouped access must be affine"
-            group_dim = pt.dim_map[d]
+    def widen(group_dim: int, rng: DepRange) -> None:
+        existing = per_dim[group_dim]
+        per_dim[group_dim] = rng if existing is None else existing.hull(rng)
+
+    for d, hull in enumerate(summary.hulls):
+        if hull is not None:
             s_p = pt.scales[d]
-            m = form.divisor
-            b = form.aff.const
-            if form.aff.variables():
-                lo = -s_p * b / m
-                hi = lo + s_p * Fraction(m - 1, m)
-            else:
-                # Constant index k = b / m: the dependence spans the whole
-                # consumer dimension, which must have constant extent
-                # (e.g. a colour-channel read like d(3, x, y)).
-                try:
-                    j = _consumer_dim_for(consumer_ir, ct, group_dim)
-                    v_lo, v_hi = _constant_extent(consumer_ir, j)
-                except NonConstantDependence as exc:
-                    raise exc.with_context(
-                        producer=getattr(producer, "name", "?"),
-                        consumer=consumer_ir.name, dim=d,
-                        access=repr(form)) from None
-                s_c = ct.scales[j]
-                k = s_p * (b // m if m > 1 else b)
-                lo = s_c * v_lo - k
-                hi = s_c * v_hi - k
-            rng = DepRange(lo, hi)
-            existing = per_dim[group_dim]
-            per_dim[group_dim] = rng if existing is None else existing.hull(rng)
+            widen(pt.dim_map[d], DepRange(s_p * hull[0], s_p * hull[1]))
+    for d, form in summary.const_taps:
+        # Constant index k = b / m: the dependence spans the whole
+        # consumer dimension, which must have constant extent
+        # (e.g. a colour-channel read like d(3, x, y)).
+        group_dim = pt.dim_map[d]
+        try:
+            j = _consumer_dim_for(consumer_ir, ct, group_dim)
+            v_lo, v_hi = _constant_extent(consumer_ir, j)
+        except NonConstantDependence as exc:
+            raise exc.with_context(
+                producer=getattr(producer, "name", "?"),
+                consumer=consumer_ir.name, dim=d,
+                access=repr(form)) from None
+        m, b = form.divisor, form.aff.const
+        k = pt.scales[d] * (b // m if m > 1 else b)
+        widen(group_dim,
+              DepRange(ct.scales[j] * v_lo - k, ct.scales[j] * v_hi - k))
     ranges = tuple(r if r is not None else ZERO_DEP for r in per_dim)
     return EdgeDependence(producer, consumer, ranges)
 

@@ -7,7 +7,17 @@ redundant computation introduced by overlapped tiling — the relative
 overlap — stays below the threshold.  Candidates are visited in decreasing
 size order (by the parameter estimates).  The loop restarts after every
 merge and terminates when no merge applies; since each merge reduces the
-number of groups by one, at most ``|S| - 1`` iterations occur.
+number of groups by one, at most ``|S| - 1`` merges occur.
+
+That bounds the merges, not the work: every restart rescans up to ``|S|``
+candidates, so the scan is ``O(|S|^2)`` candidate *visits*.  What keeps
+it cheap is that a visit is a lookup unless the pair is new — a rejected
+(group, child) pair stays rejected until one side changes, so each pair
+is *evaluated* once (``len(decisions)`` evaluations in all) — and that an
+evaluation costs in proportion to the edges of the merged group: the
+per-tap facts come from :meth:`PipelineIR.edge_summary`, the child's
+halos are reused, and sizes, order and the condensed graph's child sets
+are maintained across rounds instead of re-derived.
 """
 
 from __future__ import annotations
@@ -19,9 +29,9 @@ from typing import Mapping, Sequence
 import networkx as nx
 
 from repro.compiler.align_scale import GroupTransforms, compute_group_transforms
+from repro.compiler.deps import NonConstantDependence
 from repro.compiler.tiling import (
-    Halo, estimate_relative_overlap, group_halos, group_liveouts,
-    naive_halos,
+    Halo, estimate_relative_overlap, group_halos, naive_halos,
 )
 from repro.lang.constructs import Parameter
 from repro.observe.decisions import DecisionLog, MergeDecision
@@ -29,13 +39,14 @@ from repro.pipeline.graph import Stage
 from repro.pipeline.ir import PipelineIR
 
 
-@dataclass
+@dataclass(eq=False)
 class Group:
     """A set of stages fused together with overlapped tiling.
 
     ``transforms`` is ``None`` for groups that cannot be tiled (single
     accumulator or self-referential stages); such groups are executed with
-    their natural loop structure.
+    their natural loop structure.  Groups compare and hash by identity: a
+    stage is in exactly one, and Algorithm 1 keys its bookkeeping on them.
     """
 
     stages: list[Stage]
@@ -52,7 +63,7 @@ class Group:
         return "+".join(s.name for s in self.stages)
 
     def __contains__(self, stage: Stage) -> bool:
-        return stage in set(self.stages)
+        return stage in self.stages
 
 
 class GroupingResult:
@@ -117,23 +128,6 @@ def _is_unmergeable(ir: PipelineIR, stage: Stage) -> bool:
     return stage_ir.is_accumulator or stage_ir.is_self_referential
 
 
-def _group_size(ir: PipelineIR, group: Group,
-                estimates: Mapping[Parameter, int]) -> int:
-    return sum(ir[s].size_estimate(estimates) for s in group.stages)
-
-
-def _children(ir: PipelineIR, assignment: Mapping[Stage, Group],
-              group: Group) -> set[int]:
-    """Ids of distinct child groups of ``group`` in the condensed graph."""
-    out: set[int] = set()
-    members = set(group.stages)
-    for stage in group.stages:
-        for consumer in ir.graph.consumers(stage):
-            if consumer not in members:
-                out.add(id(assignment[consumer]))
-    return out
-
-
 def group_pipeline(ir: PipelineIR, estimates: Mapping[Parameter, int],
                    tile_sizes: Sequence[int],
                    overlap_threshold: float | Fraction,
@@ -164,50 +158,55 @@ def group_pipeline(ir: PipelineIR, estimates: Mapping[Parameter, int],
     log = decision_log if decision_log is not None else DecisionLog()
     if hints is not None and hints.is_empty():
         hints = None
+    graph = ir.graph
 
     groups: list[Group] = []
     assignment: dict[Stage, Group] = {}
-    for stage in ir.graph.topological_order():
+    size: dict[Group, int] = {}
+    for stage in graph.topological_order():
         transforms = None
         if not _is_unmergeable(ir, stage):
             transforms = compute_group_transforms(ir, [stage], stage)
         group = Group([stage], stage, transforms)
         groups.append(group)
         assignment[stage] = group
+        size[group] = ir[stage].size_estimate(estimates)
+    # the condensed graph: each group's distinct child groups, kept up to
+    # date across merges
+    children: dict[Group, set[Group]] = {
+        assignment[stage]: {assignment[c] for c in graph.consumers(stage)}
+        for stage in assignment}
+    # (group, child) pairs already turned down: neither side has changed
+    # since, so the verdict (which the log de-duplicates anyway) stands
+    rejected: set[tuple[Group, Group]] = set()
 
-    id_to_group = {id(g): g for g in groups}
+    def forced_by_hint(group: Group, child: Group) -> bool:
+        return hints is not None and hints.forces_merge(
+            (s.name for s in group.stages), (s.name for s in child.stages))
 
     round_no = 0
     while True:
         round_no += 1
         converged = True
         # candidate groups: exactly one child group
-        candidates = []
-        for group in groups:
-            children = _children(ir, assignment, group)
-            if len(children) != 1:
-                continue
-            child = id_to_group[children.pop()]
-            candidates.append((group, child))
-
-        def _forced(gc) -> bool:
-            return hints is not None and hints.forces_merge(
-                (s.name for s in gc[0].stages),
-                (s.name for s in gc[1].stages))
-
+        candidates = [(group, next(iter(children[group])))
+                      for group in groups if len(children[group]) == 1]
         # hint-forced candidates first, then decreasing size (Algorithm 1)
-        candidates.sort(key=lambda gc: (not _forced(gc),
-                                        -_group_size(ir, gc[0], estimates)))
+        candidates.sort(key=lambda gc: (not forced_by_hint(*gc),
+                                        -size[gc[0]]))
 
         for group, child in candidates:
-            size = _group_size(ir, group, estimates)
-            forced = _forced((group, child))
+            if (group, child) in rejected:
+                continue
+            forced = forced_by_hint(group, child)
 
             def record(accepted: bool, reason: str, overlap=None,
                        diagnostic=None, hinted=False,
-                       _group=group, _child=child, _size=size):
+                       _group=group, _child=child):
+                if not accepted:
+                    rejected.add((_group, _child))
                 log.record(MergeDecision(
-                    round_no, _group.name, _child.name, _size,
+                    round_no, _group.name, _child.name, size[_group],
                     float(overlap) if overlap is not None else None,
                     float(threshold), accepted, reason,
                     diagnostic=diagnostic, hinted=hinted))
@@ -218,8 +217,8 @@ def group_pipeline(ir: PipelineIR, estimates: Mapping[Parameter, int],
                 record(False, "merge forbidden by scheduling hint",
                        hinted=True)
                 continue
-            if min_size and size < min_size and not forced:
-                record(False, f"group size {size} below "
+            if min_size and size[group] < min_size and not forced:
+                record(False, f"group size {size[group]} below "
                               f"min_group_size {min_size}")
                 continue
             if any(_is_unmergeable(ir, s) for s in group.stages):
@@ -230,9 +229,7 @@ def group_pipeline(ir: PipelineIR, estimates: Mapping[Parameter, int],
                 record(False, "child holds an accumulator or "
                               "self-referential stage", hinted=forced)
                 continue
-            merged_stages = [
-                s for s in ir.graph.topological_order()
-                if s in set(group.stages) | set(child.stages)]
+            merged_stages = graph.ordered(group.stages + child.stages)
             transforms = compute_group_transforms(ir, merged_stages,
                                                   child.root)
             if transforms is None:
@@ -244,10 +241,14 @@ def group_pipeline(ir: PipelineIR, estimates: Mapping[Parameter, int],
                                   "any alignment/scaling of the merged "
                                   "group", hinted=forced)
                 continue
-            from repro.compiler.deps import NonConstantDependence
-            halo_fn = group_halos if tight_overlap else naive_halos
             try:
-                halos = halo_fn(ir, transforms, merged_stages)
+                if tight_overlap:
+                    # the absorbed stages are producers only, so the
+                    # child's own halos carry over
+                    halos = group_halos(ir, transforms, merged_stages,
+                                        known=child.halos)
+                else:
+                    halos = naive_halos(ir, transforms, merged_stages)
             except NonConstantDependence as exc:
                 # constant-index dependence over parametric extent
                 record(False, "non-constant dependence range over "
@@ -270,10 +271,19 @@ def group_pipeline(ir: PipelineIR, estimates: Mapping[Parameter, int],
             groups.remove(group)
             groups.remove(child)
             groups.append(merged)
-            del id_to_group[id(group)], id_to_group[id(child)]
-            id_to_group[id(merged)] = merged
             for stage in merged_stages:
                 assignment[stage] = merged
+            size[merged] = size.pop(group) + size.pop(child)
+            # `child` was the only child of `group` and (the condensed
+            # graph being acyclic) not its parent: the merged group keeps
+            # the child's children, and every parent of either now
+            # points at it
+            del children[group]
+            children[merged] = children.pop(child)
+            for kids in children.values():
+                if group in kids or child in kids:
+                    kids -= {group, child}
+                    kids.add(merged)
             converged = False
             break
         if converged:

@@ -370,8 +370,7 @@ def compile_plan(outputs: Sequence[Stage],
         with tracer.span("plan_assembly", cat="compiler"):
             group_plans = []
             for group in grouping.groups:
-                ordered = [s for s in graph.topological_order()
-                           if s in set(group.stages)]
+                ordered = graph.ordered(group.stages)
                 liveouts = group_liveouts(ir, group.stages)
                 ndim = group.transforms.ndim \
                     if group.transforms is not None else 0

@@ -45,24 +45,19 @@ class Halo:
                      for l, r in zip(self.left, self.right))
 
 
-def _ordered_group(ir: PipelineIR, stages: Iterable[Stage]) -> list[Stage]:
-    group = set(stages)
-    return [s for s in ir.graph.topological_order() if s in group]
-
-
 def group_liveouts(ir: PipelineIR, stages: Iterable[Stage]) -> list[Stage]:
-    """Stages whose values are needed outside the group."""
+    """Stages whose values are needed outside the group, in topological
+    order (so the order never depends on how the stage set hashes)."""
     group = set(stages)
-    out = []
-    for stage in group:
-        if ir[stage].is_output or any(c not in group
-                                      for c in ir.graph.consumers(stage)):
-            out.append(stage)
-    return out
+    return [stage for stage in ir.graph.ordered(group)
+            if ir[stage].is_output or any(c not in group
+                                          for c in ir.graph.consumers(stage))]
 
 
 def group_halos(ir: PipelineIR, transforms: GroupTransforms,
-                stages: Iterable[Stage]) -> dict[Stage, Halo]:
+                stages: Iterable[Stage],
+                known: Mapping[Stage, Halo] | None = None
+                ) -> dict[Stage, Halo]:
     """Tight per-stage halos via backward dependence propagation.
 
     Live-out stages start with a zero halo (they own exactly the tile);
@@ -70,20 +65,28 @@ def group_halos(ir: PipelineIR, transforms: GroupTransforms,
     dependence range.  This examines dependences level by level, in
     isolation — the tight construction of Section 3.4 — rather than
     assuming a uniform dependence cone.
+
+    ``known`` carries halos that are already settled and are taken over
+    as they are: a stage's halo depends only on its in-group consumers,
+    so when a group absorbs stages that are producers only (Algorithm
+    1's merge into a child group, same root), the halos of the stages it
+    had before are unchanged and only the absorbed ones are propagated.
     """
     group = set(stages)
-    order = _ordered_group(ir, stages)
-    liveouts = set(group_liveouts(ir, stages))
     ndim = transforms.ndim
-    zero = tuple(Fraction(0) for _ in range(ndim))
-    halos: dict[Stage, Halo] = {}
+    zero = (Fraction(0),) * ndim
+    halos: dict[Stage, Halo] = dict(known or ())
 
-    for stage in reversed(order):
+    for stage in reversed(ir.graph.ordered(group)):
+        if stage in halos:
+            continue
+        stage_ir = ir[stage]
         left = list(zero)
         right = list(zero)
-        seeded = stage in liveouts
+        seeded = stage_ir.is_output
         for consumer in ir.graph.consumers(stage):
             if consumer not in group:
+                seeded = True  # a live-out: it owns exactly the tile
                 continue
             consumer_halo = halos[consumer]
             dep = edge_dependences(ir, transforms, stage, consumer)
@@ -92,11 +95,9 @@ def group_halos(ir: PipelineIR, transforms: GroupTransforms,
                 rng = dep.ranges[g]
                 left[g] = max(left[g], consumer_halo.left[g] + rng.hi)
                 right[g] = max(right[g], consumer_halo.right[g] - rng.lo)
-        if not seeded:
-            # unreachable from live-outs: contributes nothing
-            halos[stage] = Halo(tuple(zero), tuple(zero))
-            continue
-        halos[stage] = Halo(tuple(left), tuple(right))
+        # a stage unreachable from the live-outs contributes nothing
+        halos[stage] = Halo(tuple(left), tuple(right)) if seeded \
+            else Halo(zero, zero)
     return halos
 
 
@@ -109,7 +110,7 @@ def naive_halos(ir: PipelineIR, transforms: GroupTransforms,
     regardless of which edges actually exist there.
     """
     group = set(stages)
-    order = _ordered_group(ir, stages)
+    order = ir.graph.ordered(group)
     ndim = transforms.ndim
     max_hi = [Fraction(0)] * ndim
     max_lo = [Fraction(0)] * ndim
@@ -142,12 +143,13 @@ def estimate_relative_overlap(halos: Mapping[Stage, Halo],
     overlap is its ratio to the tile size, maximised over stages and
     dimensions.
     """
-    worst = Fraction(0)
+    widest: list[Fraction] = []
     for halo in halos.values():
-        for d, width in enumerate(halo.widths()):
-            tau = tile_sizes[d % len(tile_sizes)]
-            worst = max(worst, width / tau)
-    return worst
+        widths = halo.widths()
+        widest = list(widths) if not widest else \
+            [max(a, b) for a, b in zip(widest, widths)]
+    return max((width / tile_sizes[d % len(tile_sizes)]
+                for d, width in enumerate(widest)), default=Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -176,7 +178,7 @@ def tile_shape_slopes(ir: PipelineIR, transforms: GroupTransforms,
     the dependence spans, giving the tightest valid cone.
     """
     group = set(stages)
-    order = _ordered_group(ir, stages)
+    order = ir.graph.ordered(group)
     ndim = transforms.ndim
     left = [Fraction(0)] * ndim
     right = [Fraction(0)] * ndim

@@ -60,7 +60,15 @@ class PipelineGraph:
         self.inputs: list[Image] = []
         self.self_referential: set[Stage] = set()
         self._discover()
-        self._levels = self._compute_levels()
+        # The DAG never changes after discovery, so the level map, the
+        # topological order and each stage's position in it are facts of
+        # the graph, computed here once.
+        nx_order = list(nx.topological_sort(self._dag))
+        self._levels = self._compute_levels(nx_order)
+        # (a stable sort: stages of one level keep networkx's order)
+        self._order: tuple[Stage, ...] = tuple(
+            sorted(nx_order, key=self._levels.__getitem__))
+        self._position = {stage: i for i, stage in enumerate(self._order)}
 
     # -- construction -----------------------------------------------------
     def _discover(self) -> None:
@@ -102,10 +110,10 @@ class PipelineGraph:
                 "stage/image names must be unique within a pipeline; "
                 f"duplicated: {sorted(duplicates)}")
 
-    def _compute_levels(self) -> dict[Stage, int]:
+    def _compute_levels(self, nx_order: list[Stage]) -> dict[Stage, int]:
         """Level = longest producer chain; sources (image-only) are 0."""
         levels: dict[Stage, int] = {}
-        for stage in nx.topological_sort(self._dag):
+        for stage in nx_order:
             producers = list(self._dag.predecessors(stage))
             if producers:
                 levels[stage] = 1 + max(levels[p] for p in producers)
@@ -135,10 +143,11 @@ class PipelineGraph:
 
     def topological_order(self) -> list[Stage]:
         """Stages in a producer-before-consumer order, stable by level."""
-        order = list(nx.topological_sort(self._dag))
-        position = {stage: i for i, stage in enumerate(order)}
-        order.sort(key=lambda s: (self._levels[s], position[s]))
-        return order
+        return list(self._order)
+
+    def ordered(self, stages: Iterable[Stage]) -> list[Stage]:
+        """The distinct ``stages`` in :meth:`topological_order` order."""
+        return sorted(set(stages), key=self._position.__getitem__)
 
     def is_output(self, stage: Stage) -> bool:
         return stage in self.outputs

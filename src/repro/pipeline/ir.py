@@ -10,6 +10,7 @@ operate on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Mapping, Union
 
 from repro.lang.constructs import Case, Parameter, Variable
@@ -52,6 +53,38 @@ class AccessInfo:
             else:
                 out.append(evaluate_access(form, var_env))
         return tuple(out)
+
+
+@dataclass(frozen=True)
+class EdgeSummary:
+    """What all accesses of one producer -> consumer edge demand of a
+    group, derived once per :class:`PipelineIR` instead of tap by tap.
+
+    ``requirements`` holds the *distinct* alignment demands, in access
+    order: per producer dimension either ``None`` (a constant index such
+    as the channel read ``d(3, x, y)``) or ``(variable, ratio)`` — the
+    index ``floor((a*v + b) / m)`` is driven by consumer variable ``v``
+    and needs the producer scale ``scale(v) * ratio`` with
+    ``ratio = m / a``.  It is ``None`` when some access cannot give
+    constant dependences: non-affine, an index mixing several variables,
+    a parametric offset, a non-positive coefficient, or one variable
+    driving two producer dimensions.
+
+    ``hulls[d]`` is the hull, at *unit* producer scale, of the dependence
+    offsets of every variable-index tap into producer dimension ``d``:
+    ``(min(-b/m), max(-b/m + (m-1)/m))``, or ``None`` without such a tap.
+    A producer scale is a positive rational, so scaling commutes with the
+    hull and the range under any transform is ``scale * hulls[d]``.
+    ``const_taps`` lists the distinct constant-index taps as ``(d, form)``
+    in access order (their range depends on the consumer's extent, and
+    the first unbounded one must be reported with its own provenance).
+    ``hulls`` is ``None`` when some access is not affine.
+    """
+
+    requirements: tuple[tuple[tuple[Variable, Fraction] | None, ...],
+                        ...] | None
+    hulls: tuple[tuple[Fraction, Fraction] | None, ...] | None
+    const_taps: tuple[tuple[int, AccessForm], ...]
 
 
 @dataclass(frozen=True)
@@ -125,6 +158,41 @@ class StageIR:
         return self.domain.size_estimate(estimates)
 
 
+def _summarize_edge(consumer_ir: StageIR, producer: Stage) -> EdgeSummary:
+    accesses = consumer_ir.accesses_to(producer)
+    if not all(access.is_affine for access in accesses):
+        return EdgeSummary(None, None, ())
+    # dicts as ordered sets: distinct entries, first-seen order
+    requirements: dict[tuple, None] = {}
+    const_taps: dict[tuple[int, AccessForm], None] = {}
+    alignable = True
+    hulls: list[tuple[Fraction, Fraction] | None] = [None] * producer.ndim
+    for access in accesses:
+        bindings: list[tuple[Variable, Fraction] | None] = []
+        for d, form in enumerate(access.forms):
+            aff, m = form.aff, form.divisor
+            offset = -aff.const / m
+            variables = aff.variables()
+            alignable = alignable and not aff.parameters()
+            if not variables:
+                const_taps[(d, form)] = None
+                bindings.append(None)
+                continue
+            slack = offset + Fraction(m - 1, m)
+            hull = hulls[d]
+            hulls[d] = (offset, slack) if hull is None else \
+                (min(hull[0], offset), max(hull[1], slack))
+            coeff = aff.coefficient(variables[0])
+            alignable = alignable and len(variables) == 1 and coeff > 0
+            bindings.append((variables[0], m / coeff))
+        # each producer dim must bind a distinct consumer variable
+        bound = [b[0] for b in bindings if b is not None]
+        alignable = alignable and len(set(bound)) == len(bound)
+        requirements[tuple(bindings)] = None
+    return EdgeSummary(tuple(requirements) if alignable else None,
+                       tuple(hulls), tuple(const_taps))
+
+
 def _collect_accesses(stage: Stage) -> tuple[AccessInfo, ...]:
     refs: list[Reference] = []
     if isinstance(stage, Accumulator):
@@ -181,9 +249,34 @@ class PipelineIR:
         self.graph = graph
         self.stages: dict[Stage, StageIR] = {
             stage: lower_stage(stage, graph) for stage in graph.stages}
+        self._edge_summaries: dict[tuple[Stage, Stage], EdgeSummary] = {}
+        self._forms_by_reference: dict[int, tuple] | None = None
 
     def __getitem__(self, stage: Stage) -> StageIR:
         return self.stages[stage]
+
+    def edge_summary(self, producer: Stage, consumer: Stage) -> EdgeSummary:
+        """The (lazily built, then kept) summary of one graph edge."""
+        key = (producer, consumer)
+        summary = self._edge_summaries.get(key)
+        if summary is None:
+            summary = self._edge_summaries[key] = _summarize_edge(
+                self.stages[consumer], producer)
+        return summary
+
+    def access_forms(self, ref: Reference) -> tuple[AccessForm | None, ...]:
+        """Classified indices of ``ref``: looked up by identity among the
+        references lowering already classified, analysed afresh only for
+        a node the IR does not hold."""
+        if self._forms_by_reference is None:
+            self._forms_by_reference = {
+                id(access.reference): access.forms
+                for stage_ir in self.stages.values()
+                for access in stage_ir.accesses}
+        forms = self._forms_by_reference.get(id(ref))
+        if forms is None:
+            forms = tuple(analyze_access(arg) for arg in ref.args)
+        return forms
 
     def ordered(self) -> list[StageIR]:
         return [self.stages[s] for s in self.graph.topological_order()]

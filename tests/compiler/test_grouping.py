@@ -193,3 +193,42 @@ def test_grouping_dot_clusters():
     assert dot.count("subgraph cluster_") == len(plan.group_plans)
     assert "style=dashed" in dot
     assert '"Ix" -> "Sxx"' in dot  # post-inlining edge
+
+
+def _all_output_chain(construction_order):
+    """s0 -> s1 -> s2 -> s3, every stage a pipeline output, with the
+    Function objects created in ``construction_order`` (which decides
+    their addresses, hence how a set of them iterates)."""
+    R = Parameter(Int, "R")
+    I = Image(Float, [R], name="I")
+    x = Variable("x")
+    stages = {}
+    for i in construction_order:
+        stages[i] = Function(varDom=([x], [Interval(0, R - 1, 1)]),
+                             typ=Float, name=f"s{i}")
+    for i in range(4):
+        prev = I if i == 0 else stages[i - 1]
+        stages[i].defn = [Case((x >= 4) & (x <= R - 5),
+                               prev(x - 1) + prev(x + 1))]
+    return R, [stages[i] for i in range(4)]
+
+
+@pytest.mark.parametrize("construction_order",
+                         [(0, 1, 2, 3), (3, 2, 1, 0), (2, 0, 3, 1)])
+def test_liveouts_follow_topological_order(construction_order):
+    """A group with several live-outs lists them in topological order
+    however its stage set happens to hash, so the generated C (tile-space
+    min/max parts) cannot depend on object addresses."""
+    from repro import compile_pipeline
+
+    def compile_chain(order):
+        R, chain = _all_output_chain(order)
+        return compile_pipeline(chain, {R: 256},
+                                CompileOptions.optimized((64,)),
+                                name="chain")
+
+    compiled = compile_chain(construction_order)
+    (gp,) = compiled.plan.group_plans
+    assert [s.name for s in gp.ordered_stages] == ["s0", "s1", "s2", "s3"]
+    assert gp.liveouts == gp.ordered_stages
+    assert compiled.c_source() == compile_chain((0, 1, 2, 3)).c_source()

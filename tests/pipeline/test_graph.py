@@ -115,3 +115,12 @@ def test_non_stage_output_rejected():
     I = Image(Float, [R], name="I")
     with pytest.raises(TypeError):
         PipelineGraph([I])  # images are inputs, not stages
+
+
+def test_order_is_cached_and_ordered_follows_it(harris_graph):
+    order = harris_graph.topological_order()
+    order.reverse()  # callers get their own list
+    assert harris_graph.topological_order() == order[::-1]
+    picked = order[::2]
+    assert harris_graph.ordered(picked + picked) == [
+        s for s in harris_graph.topological_order() if s in picked]

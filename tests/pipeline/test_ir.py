@@ -117,3 +117,37 @@ def test_sampled_access_forms():
     ir = PipelineIR(PipelineGraph([up]))
     form = ir[up].accesses[0].forms[0]
     assert form is not None and form.divisor == 2
+
+
+def test_access_forms_by_reference_identity():
+    """References the IR holds get the forms lowering classified (the
+    same tuple, no re-analysis); a foreign node is analysed afresh."""
+    R = Parameter(Int, "R")
+    I = Image(Float, [R], name="I")
+    lut = Image(Float, [R], name="lut")
+    x = Variable("x")
+    f = Function(varDom=([x], [Interval(0, R - 1, 1)]), typ=Float, name="f")
+    f.defn = lut(Cast(Int, I(x // 2) * 10))
+    ir = PipelineIR(PipelineGraph([f]))
+    for access in ir[f].accesses:
+        assert ir.access_forms(access.reference) is access.forms
+    (form,) = ir.access_forms(I(2 * x + 1))
+    assert form is not None and form.divisor == 1 and form.aff.const == 1
+    assert ir.access_forms(lut(Cast(Int, I(x)))) == (None,)
+
+
+def test_edge_summary_dedups_requirements_and_hulls_taps():
+    R = Parameter(Int, "R")
+    x = Variable("x")
+    g = Function(varDom=([x], [Interval(0, R, 1)]), typ=Float, name="g")
+    g.defn = x * 1.0
+    f = Function(varDom=([x], [Interval(0, R, 1)]), typ=Float, name="f")
+    f.defn = g(x - 2) + g(x) + g(x + 1) + g((x + 1) // 2)
+    ir = PipelineIR(PipelineGraph([f]))
+    summary = ir.edge_summary(g, f)
+    assert summary is ir.edge_summary(g, f)
+    # three stencil taps share one requirement; the sampled tap adds one
+    assert sorted(summary.requirements) == [((x, 1),), ((x, 2),)]
+    # offsets -(-2)..-(1), and the floor's slack on the sampled tap
+    assert summary.hulls == ((-1, 2),)
+    assert summary.const_taps == ()
