@@ -46,6 +46,9 @@ _INF = math.inf
 #: exactly representable integer magnitude bound of an IEEE-754 float32
 F32_EXACT_INT = 1 << 24
 
+#: largest finite IEEE-754 float32
+F32_MAX = float(np.finfo(np.float32).max)
+
 
 @dataclass(frozen=True)
 class ValueInterval:
@@ -128,6 +131,10 @@ TOP = ValueInterval(-_INF, _INF, False)
 
 def _is_int(v) -> bool:
     return isinstance(v, int) or (isinstance(v, float) and v.is_integer())
+
+
+def _f32_finite(r: ValueInterval) -> bool:
+    return r.is_finite and max(abs(r.lo), abs(r.hi)) <= F32_MAX
 
 
 def _mul(a, b):
@@ -378,6 +385,55 @@ class RangeAnalysis:
         if name in ("sin", "cos"):
             return ValueInterval(-1.0, 1.0, False)
         return TOP  # tan, pow: unbounded / sign-dependent
+
+    # -- NaN-sound fragment --------------------------------------------------
+    @classmethod
+    def nan_free_range(cls, expr) -> ValueInterval | None:
+        """Range of a float expression proven never to be NaN, else ``None``.
+
+        :meth:`expr_range` ignores NaN (a NaN image pixel is "inside"
+        every float range), which is fine for storage narrowing but not
+        for dropping an index clamp.  This is the fragment where NaN is
+        excluded by construction, using the same transfer functions:
+
+        * float literals;
+        * ``min``/``max`` whose operands *after the first* are NaN-free.
+          C's ``dmax(a, b)`` is ``a > b ? a : b``, so a NaN ``a`` yields
+          ``b`` and a NaN ``b`` yields NaN: ``Max(x, 0.0)`` is NaN-free
+          for any ``x``, ``Max(0.0, x)`` is not.  The first operand is
+          then only unknown (TOP);
+        * ``+``/``-``/``*`` of NaN-free operands whose ranges (and
+          result) stay inside float32's finite range, padded for float32
+          rounding like a ``Float`` cast;
+        * casts of a finite NaN-free range (C's ``(int)NaN`` and
+          ``(int)inf`` are undefined).
+        """
+        if isinstance(expr, Cast):
+            r = cls.nan_free_range(expr.operand)
+            if r is None or not r.is_finite:
+                return None
+            return cls._cast_range(r, expr.dtype)
+        if isinstance(expr, Literal):
+            if isinstance(expr.value, bool) or expr.value != expr.value:
+                return None
+            return ValueInterval.point(expr.value)
+        if isinstance(expr, Call) and expr.name in ("min", "max") \
+                and len(expr.args) >= 2:
+            rest = [cls.nan_free_range(a) for a in expr.args[1:]]
+            if any(r is None for r in rest):
+                return None
+            first = cls.nan_free_range(expr.args[0]) or TOP
+            return cls._call_range(expr.name, [first, *rest])
+        if isinstance(expr, BinOp) and expr.op in ("+", "-", "*"):
+            left = cls.nan_free_range(expr.left)
+            right = cls.nan_free_range(expr.right)
+            if left is None or right is None \
+                    or not (_f32_finite(left) and _f32_finite(right)):
+                return None
+            r = cls._cast_range(cls._binop_range(expr.op, left, right),
+                                Float)
+            return r if _f32_finite(r) else None
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -78,9 +78,18 @@ def build_flags(*, vectorize: bool = True,
     differ from the safe nests by a few ULPs.  With contraction off,
     ``specialize=True`` and ``specialize=False`` builds are
     bit-identical.
+
+    ``-fno-trapping-math`` changes no value either: it permits no
+    reassociation, contraction or finite-math assumption, only lets the
+    compiler evaluate both arms of a ``?:`` (``Select``, ``dmin``,
+    ``dmax``) where the default ``-ftrapping-math`` must keep the branch
+    in case the untaken arm raises an FP exception.  This runtime never
+    unmasks FP exceptions, so the only effect is that if-conversion, and
+    with it the vectorizer, reaches data-dependent nests such as
+    bilateral's trilinear slice (``docs/internals.md`` §23).
     """
     flags = ["-O3", "-march=native", "-fopenmp", "-shared", "-fPIC",
-             "-std=gnu11", "-ffp-contract=off"]
+             "-std=gnu11", "-ffp-contract=off", "-fno-trapping-math"]
     if not vectorize:
         flags += ["-fno-tree-vectorize", "-fno-tree-slp-vectorize"]
     return tuple(flags) + tuple(extra_flags)

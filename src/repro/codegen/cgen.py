@@ -812,21 +812,27 @@ NativePipeline` reads back through ctypes.  Uninstrumented output is
                 var_bounds = {id(v): (f"c{d}lb", f"c{d}ub")
                               for d, v in enumerate(stage_ir.variables)}
                 fast = opt.analyze_case(self, stage_ir, case, var_bounds)
-            if fast is not None and fast.conds:
-                guard = " && ".join(f"({c})" for c in fast.conds)
-                w.emit(f"const int _fastok = {guard};")
-                w.open("if (_fastok)")
-                self._emit_case_nest(stage_ir, case, var_names,
-                                     parallel, fast)
-                w.close()
-                w.open("else")
-                self._emit_case_nest(stage_ir, case, var_names,
-                                     parallel, None)
-                w.close()
-            else:
-                self._emit_case_nest(stage_ir, case, var_names,
-                                     parallel, fast)
+            self._emit_guarded(fast, lambda plan: self._emit_case_nest(
+                stage_ir, case, var_names, parallel, plan))
             w.close()
+
+    def _emit_guarded(self, fast: "opt.CasePlan | None", emit_nest) -> None:
+        """``emit_nest(fast)`` behind the plan's runtime guard with
+        ``emit_nest(None)`` (the safe nest) as the ``else``; the fast nest
+        alone when the plan needs no guard, the safe one when there is
+        no plan."""
+        w = self.w
+        if fast is not None and fast.conds:
+            guard = " && ".join(f"({c})" for c in fast.conds)
+            w.emit(f"const int _fastok = {guard};")
+            w.open("if (_fastok)")
+            emit_nest(fast)
+            w.close()
+            w.open("else")
+            emit_nest(None)
+            w.close()
+        else:
+            emit_nest(fast)
 
     def _emit_case_nest(self, stage_ir: StageIR, case, var_names,
                         parallel: bool,
@@ -915,10 +921,22 @@ NativePipeline` reads back through ctypes.  Uninstrumented output is
         w.close()
 
     def _emit_accumulator(self, stage_ir: StageIR) -> None:
+        """Initialise an accumulator, then scatter over its reduction
+        domain.
+
+        Under ``options.specialize`` the scatter nest gets the case
+        nests' treatment (:func:`repro.codegen.opt.analyze_scatter`):
+        when every target index is proven inside the accumulator's
+        extent over the whole reduction domain — checked once, before
+        the nest — a nest without the per-point bounds test runs, with
+        native ``/`` for proven non-negative floor divisions and
+        row-invariant index terms hoisted; the guarded nest stays as the
+        fallback.  Updates happen in the same order either way, so float
+        sums stay bit-identical.
+        """
         w = self.w
         acc = stage_ir.accumulate
         assert acc is not None
-        base = self.buf(stage_ir.stage)
         ctype = stage_ir.stage.dtype.c_name
         dtype = stage_ir.stage.dtype
         if dtype.is_float:
@@ -945,34 +963,76 @@ NativePipeline` reads back through ctypes.  Uninstrumented output is
         for _ in stage_ir.variables:
             w.close()
         # reduce over the reduction domain
-        red_names: dict[int, str] = {}
+        red_vars = stage_ir.stage.red_variables
+        red_names = {id(var): f"r{d}" for d, var in enumerate(red_vars)}
         assert stage_ir.reduction_domain is not None
-        for d, var in enumerate(stage_ir.stage.red_variables):
-            v = f"r{d}"
-            red_names[id(var)] = v
-            bounds = stage_ir.reduction_domain.bounds[d]
-            w.open(f"for (long {v} = {self.dim_lower(bounds)}; "
-                   f"{v} <= {self.dim_upper(bounds)}; {v}++)")
-        idx_names = []
-        guards = []
-        for d, arg in enumerate(acc.target.args):
-            iv = f"ti{d}"
-            w.emit(f"long {iv} = (long)({self.expr(arg, red_names)});")
-            lo = f"{base}_lo{d}"
-            hi = f"{base}_hi{d}"
-            guards.append(f"{iv} >= {lo} && {iv} <= {hi}")
-            idx_names.append(iv)
-        value = self.expr(acc.value, red_names)
-        slot = self._full_access(stage_ir.stage, idx_names)
+        red_bounds = [(self.dim_lower(b), self.dim_upper(b))
+                      for b in stage_ir.reduction_domain.bounds]
+        fast = None
+        if self.plan.options.specialize and red_vars:
+            fast = opt.analyze_scatter(
+                self, stage_ir,
+                {id(v): b for v, b in zip(red_vars, red_bounds)})
+        self._emit_guarded(fast, lambda plan: self._emit_scatter_nest(
+            stage_ir, red_names, red_bounds, plan))
+        w.close()
+
+    def _emit_scatter_nest(self, stage_ir: StageIR, red_names,
+                           red_bounds: list[tuple[str, str]],
+                           fast: "opt.CasePlan | None") -> None:
+        """One scatter nest: bounds-tested (``fast`` None) or proven."""
+        w = self.w
+        acc = stage_ir.accumulate
+        stage = stage_ir.stage
+        ctype = stage.dtype.c_name
+        ctx = None
+        if fast is not None:
+            ctx = opt.FastBody(fast, id(stage.red_variables[-1]))
+        # under a fast plan the innermost loop opens after the hoisted
+        # offsets are known
+        n_outer = len(red_bounds) - (ctx is not None)
+        for d, (lo, hi) in enumerate(red_bounds[:n_outer]):
+            w.open(f"for (long r{d} = {lo}; r{d} <= {hi}; r{d}++)")
+        if ctx is None:
+            base = self.buf(stage)
+            idx_names = []
+            guards = []
+            for d, arg in enumerate(acc.target.args):
+                iv = f"ti{d}"
+                w.emit(f"long {iv} = (long)({self.expr(arg, red_names)});")
+                guards.append(f"{iv} >= {base}_lo{d} && {iv} <= {base}_hi{d}")
+                idx_names.append(iv)
+            value = self.expr(acc.value, red_names)
+            slot = self._full_access(stage, idx_names)
+        else:
+            self._fast_ctx = ctx
+            try:
+                slot = self._full_access(
+                    stage,
+                    [f"(long)({self.expr(arg, red_names)})"
+                     for arg in acc.target.args],
+                    [ctx.hoistable(arg) for arg in acc.target.args])
+                value = self.expr(acc.value, red_names)
+            finally:
+                self._fast_ctx = None
+            for line in ctx.offset_decls:
+                w.emit(line)
+            d = n_outer
+            lo, hi = red_bounds[d]
+            w.open(f"for (long r{d} = {lo}; r{d} <= {hi}; r{d}++)")
+            for line in ctx.load_decls:
+                w.emit(line)
         update = {
             Reduction.Sum: f"{slot} += ({ctype})({value});",
             Reduction.Min: f"{slot} = ({ctype})dmin({slot}, {value});",
             Reduction.Max: f"{slot} = ({ctype})dmax({slot}, {value});",
         }[acc.op]
-        w.emit(f"if ({' && '.join(guards)}) {update}")
-        for _ in stage_ir.stage.red_variables:
+        if ctx is None:
+            w.emit(f"if ({' && '.join(guards)}) {update}")
+        else:
+            w.emit(update)
+        for _ in red_bounds:
             w.close()
-        w.close()
 
     def _emit_self_referential(self, stage_ir: StageIR) -> None:
         """Sequential scalar loop nest with per-point case dispatch."""

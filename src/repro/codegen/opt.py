@@ -1,10 +1,11 @@
 """Fast-path analysis for the C backend (interior/boundary specialization).
 
 The safe loop nests :mod:`repro.codegen.cgen` emits route every
-data-dependent access through ``iclamp`` and every flooring division
-through the ``fdiv``/``pmod`` helpers — correct everywhere, but paid on
-every pixel.  This module derives, per case loop nest, the *interior*
-fast path:
+data-dependent access through ``iclamp``, every accumulator scatter
+through a per-point bounds test, and every flooring division through
+the ``fdiv``/``pmod`` helpers — correct everywhere, but paid on every
+pixel.  This module derives, per case loop nest (and per accumulator
+scatter nest), the *interior* fast path:
 
 * **Clamp elimination** — for each clamped (non-affine) access, the
   value range of the index expression over the current loop bounds is
@@ -13,7 +14,15 @@ fast path:
   over the tile-scope bound variables).  When the range is derivable,
   the containment test ``range ⊆ producer extent`` becomes a cheap
   runtime guard evaluated once per tile; tiles where it holds take a
-  clamp-free nest, boundary tiles keep the safe clamped code.
+  clamp-free nest, boundary tiles keep the safe clamped code.  An index
+  computed from *data* is derivable when it is an integer cast of a
+  NaN-free float range
+  (:meth:`repro.analysis.ranges.RangeAnalysis.nan_free_range` — e.g.
+  ``Cast(Int, Min(Max(v, 0.0), 15.0))`` is in ``[0, 15]`` whatever the
+  pixel ``v``); such a constant range against a constant extent is
+  decided at compile time, with no guard.  A scatter's target index
+  gets the same proof over the reduction domain, and the fast scatter
+  nest drops its bounds test.
 * **Strength reduction** — ``fdiv(e, m)`` / ``pmod(e, m)`` with a
   constant positive ``m`` collapse to C's native ``/`` and ``%`` (which
   gcc turns into shifts/masks) under a proven ``e >= 0`` guard; C
@@ -32,13 +41,17 @@ merely falls back to the safe nest — never to wrong code.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
+from repro.analysis.ranges import RangeAnalysis
 from repro.lang.constructs import Parameter, Variable
 from repro.lang.expr import (
     BinOp, Call, Cast, Expr, Literal, Reference, Select, UnOp,
 )
+from repro.lang.image import Image
 from repro.pipeline.ir import StageIR
+from repro.poly.affine import to_affine
 from repro.poly.interval import IntInterval, evaluate_expr
 
 
@@ -55,9 +68,29 @@ def _walk(expr: Expr):
         stack.extend(node.children())
 
 
-def expr_variables(expr: Expr) -> set[int]:
-    """``id()`` of every :class:`Variable` appearing in the expression."""
-    return {id(n) for n in _walk(expr) if isinstance(n, Variable)}
+_INT_LITERAL = re.compile(r"(-?\d+)L")
+
+
+def _literal(c: str) -> int | None:
+    """The value of a C integer literal as :func:`c_range` spells it."""
+    m = _INT_LITERAL.fullmatch(c)
+    return int(m.group(1)) if m else None
+
+
+def _literal_range(rng: tuple[str, str] | None) -> IntInterval | None:
+    """A :func:`c_range` result when both its bounds are literals."""
+    if rng is None:
+        return None
+    lo, hi = _literal(rng[0]), _literal(rng[1])
+    return None if lo is None or hi is None else IntInterval(lo, hi)
+
+
+def _c_add(a: str, b: str, op: str) -> str:
+    """``a op b`` for ``op`` in ``+``/``-``, folded when both are literals."""
+    la, lb = _literal(a), _literal(b)
+    if la is not None and lb is not None:
+        return f"{la + lb if op == '+' else la - lb}L"
+    return f"({a}) {op} ({b})"
 
 
 def c_range(expr: Expr, gen, var_bounds: dict[int, tuple[str, str]]
@@ -68,7 +101,9 @@ def c_range(expr: Expr, gen, var_bounds: dict[int, tuple[str, str]]
     holding that loop's inclusive bounds; ``gen`` supplies parameter
     naming.  Returns ``None`` when the expression leaves the supported
     fragment — the caller then keeps the safe code for it.  The string
-    semantics mirror :func:`repro.poly.interval.evaluate_expr` exactly.
+    semantics mirror :func:`repro.poly.interval.evaluate_expr` exactly,
+    plus integer casts of NaN-free float ranges, which come out as
+    literals (constant sums fold, so ``zi + 1`` stays a literal too).
     """
     if isinstance(expr, Literal):
         if isinstance(expr.value, bool) or not isinstance(expr.value, int):
@@ -87,7 +122,14 @@ def c_range(expr: Expr, gen, var_bounds: dict[int, tuple[str, str]]
     if isinstance(expr, Cast):
         if expr.dtype.is_float:
             return None
-        return c_range(expr.operand, gen, var_bounds)
+        inner = c_range(expr.operand, gen, var_bounds)
+        if inner is not None:
+            return inner
+        # a float operand: a constant range, when it is proven NaN-free
+        r = RangeAnalysis.nan_free_range(expr)
+        if r is None:
+            return None
+        return f"{r.lo}L", f"{r.hi}L"
     if isinstance(expr, BinOp):
         left = c_range(expr.left, gen, var_bounds)
         if left is None:
@@ -105,11 +147,11 @@ def c_range(expr: Expr, gen, var_bounds: dict[int, tuple[str, str]]
         if right is None:
             return None
         if expr.op == "+":
-            return (f"({left[0]}) + ({right[0]})",
-                    f"({left[1]}) + ({right[1]})")
+            return (_c_add(left[0], right[0], "+"),
+                    _c_add(left[1], right[1], "+"))
         if expr.op == "-":
-            return (f"({left[0]}) - ({right[1]})",
-                    f"({left[1]}) - ({right[0]})")
+            return (_c_add(left[0], right[1], "-"),
+                    _c_add(left[1], right[0], "-"))
         if expr.op == "*":
             # only multiplication by a literal keeps the bounds linear
             for a, b in ((expr.left, right), (expr.right, left)):
@@ -177,6 +219,80 @@ class CasePlan:
         return len(self.reduce_divs)
 
 
+def _constant_extent(gen, producer, d: int) -> IntInterval | None:
+    """The stored extent of ``producer`` along ``d`` when it is the same
+    for every parameter value (a full buffer or image with constant
+    bounds, like bilateral's intensity axis), else ``None``.  Scratchpad
+    extents are per-tile and never constant."""
+    if producer in gen._scratch_sizes:
+        return None
+    if isinstance(producer, Image):
+        n = to_affine(producer.extents[d], params_only=True)
+        if not n.is_constant or n.const < 1:
+            return None
+        return IntInterval(0, int(n.const) - 1)
+    bounds = gen.plan.ir[producer].domain.bounds[d]
+    if not all(b.is_constant for b in (*bounds.lowers, *bounds.uppers)):
+        return None
+    return bounds.concretize({})
+
+
+def _add_cond(plan: CasePlan, cond: str) -> None:
+    if cond not in plan.conds:
+        plan.conds.append(cond)
+
+
+def _prove_within(gen, plan: CasePlan, arg: Expr, producer, d: int,
+                  var_bounds: dict[int, tuple[str, str]]) -> bool:
+    """Prove ``arg`` inside ``producer``'s extent along ``d``.
+
+    A literal range against a constant extent is decided here, at
+    compile time; otherwise the containment becomes two guard
+    conditions on ``plan``.  False when the range is not derivable or
+    provably escapes the extent (the caller keeps its clamp or test).
+    """
+    rng = c_range(arg, gen, var_bounds)
+    if rng is None:
+        return False
+    const = _literal_range(rng)
+    extent = const and _constant_extent(gen, producer, d)
+    if extent:
+        return extent.contains(const)
+    lo_name, hi_name = gen._extent_names(producer, d)
+    _add_cond(plan, f"({rng[0]}) >= {lo_name}")
+    _add_cond(plan, f"({rng[1]}) <= {hi_name}")
+    return True
+
+
+def _analyze(gen, exprs, var_bounds: dict[int, tuple[str, str]],
+             plan: CasePlan) -> CasePlan:
+    """Clamp and division proofs for every access/division in ``exprs``."""
+    for expr in exprs:
+        for node in _walk(expr):
+            if isinstance(node, Reference):
+                forms = gen.plan.ir.access_forms(node)
+                for d, arg in enumerate(node.args):
+                    if forms[d] is not None:
+                        continue  # affine: already clamp-free, region-proven
+                    plan.n_clamped_dims += 1
+                    if _prove_within(gen, plan, arg, node.function, d,
+                                     var_bounds):
+                        plan.drop_clamps.add((id(node), d))
+            elif isinstance(node, BinOp) and node.op in ("//", "%"):
+                right = node.right
+                if not (isinstance(right, Literal)
+                        and isinstance(right.value, int)
+                        and right.value > 0):
+                    continue
+                plan.n_divs += 1
+                rng = c_range(node.left, gen, var_bounds)
+                if rng is None:
+                    continue
+                plan.reduce_divs.add(id(node))
+                _add_cond(plan, f"({rng[0]}) >= 0L")
+    return plan
+
+
 def analyze_case(gen, stage_ir: StageIR, case,
                  var_bounds: dict[int, tuple[str, str]]) -> CasePlan:
     """Derive the fast-path plan for one case of a stage.
@@ -186,40 +302,26 @@ def analyze_case(gen, stage_ir: StageIR, case,
     variables holding each loop's inclusive bounds at the point the
     guard will be evaluated.
     """
+    return _analyze(gen, [case.expression], var_bounds, CasePlan())
+
+
+def analyze_scatter(gen, stage_ir: StageIR,
+                    var_bounds: dict[int, tuple[str, str]]
+                    ) -> CasePlan | None:
+    """Fast-path plan for an accumulator's scatter nest, or ``None``.
+
+    Every target index must be proven inside the accumulator's extent
+    over the whole reduction domain (``var_bounds``) — that proof is
+    what lets the fast nest drop its per-point bounds test; without it
+    there is no fast nest.  Divisions and gathers in the target and
+    value expressions then get the usual case-nest treatment.
+    """
+    acc = stage_ir.accumulate
     plan = CasePlan()
-    seen_conds: set[str] = set()
-
-    def add_cond(cond: str) -> None:
-        if cond not in seen_conds:
-            seen_conds.add(cond)
-            plan.conds.append(cond)
-
-    for node in _walk(case.expression):
-        if isinstance(node, Reference):
-            forms = gen.plan.ir.access_forms(node)
-            for d, arg in enumerate(node.args):
-                if forms[d] is not None:
-                    continue  # affine: already clamp-free and region-proven
-                plan.n_clamped_dims += 1
-                rng = c_range(arg, gen, var_bounds)
-                if rng is None:
-                    continue
-                lo_name, hi_name = gen._extent_names(node.function, d)
-                plan.drop_clamps.add((id(node), d))
-                add_cond(f"({rng[0]}) >= {lo_name}")
-                add_cond(f"({rng[1]}) <= {hi_name}")
-        elif isinstance(node, BinOp) and node.op in ("//", "%"):
-            right = node.right
-            if not (isinstance(right, Literal)
-                    and isinstance(right.value, int) and right.value > 0):
-                continue
-            plan.n_divs += 1
-            rng = c_range(node.left, gen, var_bounds)
-            if rng is None:
-                continue
-            plan.reduce_divs.add(id(node))
-            add_cond(f"({rng[0]}) >= 0L")
-    return plan
+    for d, arg in enumerate(acc.target.args):
+        if not _prove_within(gen, plan, arg, stage_ir.stage, d, var_bounds):
+            return None
+    return _analyze(gen, [*acc.target.args, acc.value], var_bounds, plan)
 
 
 def simd_safe(stage_ir: StageIR, case) -> bool:
@@ -264,9 +366,14 @@ class FastBody:
         self.load_decls: list[str] = []
 
     def hoistable(self, arg: Expr) -> bool:
-        """May this index expression move above the innermost loop?"""
-        return (self.innermost_id is not None
-                and self.innermost_id not in expr_variables(arg))
+        """May this index expression move above the innermost loop?
+
+        Not when it loads: its load is CSE'd into the innermost body,
+        below where a hoisted offset is declared."""
+        if self.innermost_id is None:
+            return False
+        return not any(isinstance(n, Reference) or id(n) == self.innermost_id
+                       for n in _walk(arg))
 
     def offset(self, expr: str) -> str:
         name = self._offsets.get(expr)
@@ -340,6 +447,9 @@ class _NullNamer:
 
     def __init__(self, plan):
         self.plan = plan
+        # data-dependent reads never fuse with their producer, so every
+        # producer they name is a full buffer
+        self._scratch_sizes: dict = {}
 
     def param(self, p: Parameter) -> str:
         return p.name
@@ -351,8 +461,6 @@ class _NullNamer:
 def _producer_box(plan, producer, env: dict
                   ) -> tuple[IntInterval, ...] | None:
     """Concrete stored extents of a producer (image or stage) at ``env``."""
-    from repro.lang.image import Image
-    from repro.poly.affine import to_affine
     if isinstance(producer, Image):
         box = []
         for e in producer.extents:
@@ -392,7 +500,9 @@ def _interior_fraction(plan, stage_ir: StageIR, env: dict) -> float | None:
                     if forms[d] is not None:
                         continue
                     total += 1
-                    rng = evaluate_expr(arg, var_env)
+                    # NaN-free casts of pixel values: constant ranges
+                    rng = evaluate_expr(arg, var_env) or _literal_range(
+                        c_range(arg, _NullNamer(plan), {}))
                     dom = _producer_box(plan, node.function, env)
                     if rng is None or dom is None:
                         continue

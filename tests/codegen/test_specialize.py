@@ -5,12 +5,15 @@ clamp-free, strength-reduced, SIMD, arena-backed) code is the *same
 function* as the legacy always-safe code:
 
 1. bit-identity: every app, at two tile configurations, produces
-   byte-for-byte equal outputs with ``specialize`` on and off;
+   byte-for-byte equal outputs with ``specialize`` on and off — and the
+   default build equals the safe nests under ``-ftrapping-math``;
 2. interpreter agreement: the specialized native build matches the
    interpreter at the repo's standard tolerance;
 3. golden-source properties: every ``if (_fastok)`` interior block is
    free of ``iclamp``/``fdiv``/``pmod`` helper calls, while the safe
-   residual path keeps them.
+   residual path keeps them; range-proven data-dependent gathers and
+   scatters lose their clamp and bounds test, unproven ones keep them;
+   gcc vectorizes bilateral's slice.
 
 Plus lifecycle tests (persistent arena + release), executor pool reuse,
 option plumbing, and verifier coverage (clean plans stay clean; a
@@ -18,6 +21,9 @@ shrunken interior/halo trips RV202 read containment; the RV302 lint
 allows thread-indexed arena-slot writes but still catches races).
 """
 
+import re
+import shutil
+import subprocess
 from dataclasses import replace
 
 import numpy as np
@@ -27,10 +33,10 @@ from repro import CompileOptions, compile_pipeline
 from repro.bench.harness import (
     APP_BUILDERS, DEFAULT_TILES, make_instance, variant_options,
 )
-from repro.codegen.build import build_native, compiler_available
+from repro.codegen.build import build_flags, build_native, compiler_available
 from repro.codegen.cgen import generate_c
-from repro.lang import Float, Function, Image, Int, Interval, Max, Min, \
-    Parameter, Variable
+from repro.lang import Accumulate, Accumulator, Cast, Float, Function, \
+    Image, Int, Interval, Max, Min, Parameter, Sum, Variable
 from repro.verify import lint_generated_c, verify_plan
 
 pytestmark = pytest.mark.skipif(not compiler_available(),
@@ -73,6 +79,55 @@ def test_bit_identical_specialize_on_off(name, tiles_key):
     for f in instance.app.outputs:
         np.testing.assert_array_equal(out_on[f.name], out_off[f.name])
     nat_on.release()
+
+
+@pytest.mark.parametrize("name", APPS)
+def test_default_build_preserves_trapping_math_values(name):
+    """``-fno-trapping-math`` and the range proofs change no bit: the
+    default build equals the clamped, guarded nests compiled under the
+    old trap semantics."""
+    instance = make_instance(name, "tiny")
+    on = CompileOptions.optimized(DEFAULT_TILES[name])
+    off = on.with_specialize(False, simd=False)
+    nat_on = build_native(
+        compile_pipeline(instance.app.outputs, instance.values, on,
+                         name=f"trap_{name}_on").plan, f"trap_{name}_on")
+    nat_off = build_native(
+        compile_pipeline(instance.app.outputs, instance.values, off,
+                         name=f"trap_{name}_off").plan, f"trap_{name}_off",
+        extra_flags=("-ftrapping-math",))
+    out_on = nat_on(instance.values, instance.inputs)
+    out_off = nat_off(instance.values, instance.inputs)
+    for f in instance.app.outputs:
+        np.testing.assert_array_equal(out_on[f.name], out_off[f.name])
+    nat_on.release()
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="needs gcc's "
+                    "-fopt-info")
+def test_bilateral_slice_interior_loop_is_vectorized(tmp_path):
+    """Under the default flags gcc vectorizes the slice's ``omp simd``
+    loop; with ``-ftrapping-math`` it reports "control flow in loop"."""
+    instance = make_instance("bilateral", "tiny")
+    plan = compile_pipeline(instance.app.outputs, instance.values,
+                            CompileOptions.optimized((32, 64, 16)),
+                            name="vec_bilateral").plan
+    source = generate_c(plan)
+    fast = source.index("if (_fastok)",
+                        source.index("/* case 0 of bilateral */"))
+    pragma = source.count("\n", 0, source.index("#pragma omp simd", fast))
+    c_file = tmp_path / "bilateral.c"
+    c_file.write_text(source)
+    result = subprocess.run(
+        ["gcc", *build_flags(), "-fopt-info-vec-optimized", str(c_file),
+         "-o", str(tmp_path / "bilateral.so"), "-lm"],
+        capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    vectorized = {int(m.group(1)) for m in re.finditer(
+        r"bilateral\.c:(\d+):\d+: optimized: loop vectorized",
+        result.stderr)}
+    # gcc names the loop by its header or its first body line (1-based)
+    assert vectorized & {pragma + 2, pragma + 3}, result.stderr
 
 
 @pytest.mark.parametrize("name", APPS)
@@ -149,22 +204,117 @@ def test_clamped_stencil_interior_is_clamp_free():
     np.testing.assert_allclose(nat["cblur"], interp["cblur"], rtol=1e-6)
 
 
-def test_data_dependent_clamps_survive_in_interior():
-    """bilateral's grid lookups index by *image values* — their range is
-    not statically derivable, so the interior nest must keep those
-    ``iclamp`` calls (dropping them would be unsound)."""
+def test_bilateral_data_dependent_accesses_are_range_proven():
+    """bilateral's grid taps and histogram bins index by *image values*,
+    but through ``Cast(Int, Min(Max(v, 0.0), k))`` — NaN-free whatever
+    the pixel, so inside the grid: the slice's fast nest has no
+    ``iclamp`` and the scatter fast nests neither a bounds test nor an
+    ``fdiv``."""
     instance = make_instance("bilateral", "tiny")
     compiled = compile_pipeline(instance.app.outputs, instance.values,
                                 CompileOptions.optimized((32, 64, 16)),
                                 name="golden_bilateral")
     source = generate_c(compiled.plan)
     blocks = _fast_blocks(source)
-    assert blocks, "expected a guarded interior nest"
-    # the guards here come from division strength reduction, never from
-    # the value-dependent clamps
+    scatters = [b for b in blocks if "+=" in b]
+    slices = [b for b in blocks if "out_bilateral[" in b]
+    # gridw and gridv, in the single-frame and the batch entry point
+    assert len(scatters) == 4 and len(slices) == 2
     for block in blocks:
+        assert "iclamp(" not in block
         assert "fdiv(" not in block
         assert "pmod(" not in block
+    for block in scatters:
+        assert "if (" not in block
+    # the fallback nests keep the safe forms (the prelude defines iclamp)
+    assert source.count("iclamp(") > 1
+    assert "if (ti0 >=" in source
+
+
+def _data_dependent_pair(index):
+    """A 17-entry LUT gather ``lut(index(v))`` and a 17-bin histogram
+    scatter ``hist(index(v)) += 1`` over a float image ``v``."""
+    R = Parameter(Int, "R")
+    I = Image(Float, [R], name="I")
+    x, z = Variable("x"), Variable("z")
+    bins = Interval(0, 16, 1)
+    lut = Function(varDom=([z], [bins]), typ=Float, name="lut")
+    lut.defn = Cast(Float, z) * 0.5
+    gather = Function(varDom=([x], [Interval(0, R - 1, 1)]), typ=Float,
+                      name="gather")
+    gather.defn = lut(index(I(x)))
+    hist = Accumulator(redDom=([x], [Interval(0, R - 1, 1)]),
+                       varDom=([z], [bins]), typ=Int, name="hist")
+    hist.defn = Accumulate(hist(index(I(x))), 1, Sum)
+    return R, I, [gather, hist]
+
+
+#: index expressions that must keep their clamp and bounds test
+UNPROVEN_INDICES = {
+    # no bound at all
+    "unbounded": lambda v: Cast(Int, v * 16),
+    # bounded, but one bin wider than the 17 bins [0, 16]
+    "wider": lambda v: Cast(Int, Min(Max(v * 16, 0.0), 17.0)),
+    # literal first: dmax(0.0, NaN) and dmin(16.0, NaN) are NaN, and
+    # (int)NaN is nowhere near the table
+    "literal_first": lambda v: Cast(Int, Max(0.0, Min(16.0, v * 16))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNPROVEN_INDICES))
+def test_unproven_data_dependent_accesses_keep_clamp_and_guard(case):
+    R, I, outs = _data_dependent_pair(UNPROVEN_INDICES[case])
+    compiled = compile_pipeline(outs, {R: 200},
+                                CompileOptions.optimized((32,)),
+                                name=f"unproven_{case}")
+    source = generate_c(compiled.plan)
+    gather = source[source.index("/* case 0 of gather */"):]
+    gather = gather.split("/* group")[0]
+    assert "iclamp(" in gather
+    assert all("iclamp(" in b for b in _fast_blocks(gather))
+    assert "if (ti0 >=" in source
+    assert not any("+=" in b for b in _fast_blocks(source))
+    # and the kept clamp and test do their job on hostile pixels
+    data = np.array([np.nan, np.inf, -np.inf, -5.0, 1e30, 0.5, 0.25, 0.9]
+                    * 25, dtype=np.float32)
+    legacy = compile_pipeline(
+        outs, {R: 200},
+        CompileOptions.optimized((32,)).with_specialize(False, simd=False),
+        name=f"unproven_{case}_off")
+    on = build_native(compiled.plan, f"unproven_{case}")({R: 200}, {I: data})
+    off = build_native(legacy.plan, f"unproven_{case}_off")({R: 200},
+                                                            {I: data})
+    for name in ("gather", "hist"):
+        np.testing.assert_array_equal(on[name], off[name])
+
+
+def test_scatter_bin_loaded_outside_the_inner_loop():
+    """A proven bin that loads through the *outer* reduction variable
+    only must not be hoisted above the inner loop (its load is CSE'd
+    inside it)."""
+    R, C = Parameter(Int, "R"), Parameter(Int, "C")
+    I = Image(Float, [R], name="I")
+    x, y, z = Variable("x"), Variable("y"), Variable("z")
+    hist = Accumulator(redDom=([x, y], [Interval(0, R - 1, 1),
+                                        Interval(0, C - 1, 1)]),
+                       varDom=([z], [Interval(0, 16, 1)]), typ=Int,
+                       name="rowhist")
+    hist.defn = Accumulate(
+        hist(Cast(Int, Min(Max(I(x) * 16.0, 0.0), 16.0))), 1, Sum)
+    values = {R: 40, C: 24}
+    options = CompileOptions.optimized((32,))
+    on = compile_pipeline([hist], values, options, name="rowhist_on")
+    # the bin is proven at compile time: no bounds test, no guard
+    source = generate_c(on.plan)
+    assert "if (ti0" not in source and "_fastok" not in source
+    off = compile_pipeline([hist], values,
+                           options.with_specialize(False, simd=False),
+                           name="rowhist_off")
+    data = np.linspace(-0.5, 1.5, 40, dtype=np.float32)
+    data[::7] = np.nan
+    out_on = build_native(on.plan, "rowhist_on")(values, {I: data})
+    out_off = build_native(off.plan, "rowhist_off")(values, {I: data})
+    np.testing.assert_array_equal(out_on["rowhist"], out_off["rowhist"])
 
 
 def _upsample_chain():
