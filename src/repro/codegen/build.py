@@ -43,6 +43,7 @@ from repro.compiler.plan import PipelinePlan
 from repro.lang.constructs import Parameter
 from repro.lang.image import Image
 from repro.poly.affine import to_affine
+from repro.runtime.executor import check_unknown_keys
 
 #: the pipeline name every cached translation unit is generated with; the
 #: exported symbol is derived from it, so one artifact serves all callers
@@ -360,14 +361,14 @@ class NativePipeline:
     arena-free) take no lock at all: distinct artifacts never serialize
     against each other.
 
-    **Batch ABI**: artifacts additionally export ``<func>_batch(int
+    **Batch ABI**: the artifact's one entry point is ``<func>_batch(int
     _nframes, int _nthreads, params..., const T* const* in_frames...,
     T* const* out_frames...)``, which sets up the thread team and
-    scratch arena once and loops the same tile nests over N frames —
-    amortizing per-call dispatch cost for small frames.  The symbol is
-    *probed*, never required (:attr:`has_batch`): :meth:`run_batch` on
-    an artifact cached before the batch ABI existed degrades to N
-    sequential single-frame calls with identical results.
+    scratch arena once and loops the tile nests over N frames —
+    amortizing per-call dispatch cost for small frames.  A single-frame
+    call is a batch of one (``__call__`` is ``run_batch(params,
+    [inputs])[0]``).  A library without the symbol fails to load with
+    :class:`BuildError`.
     """
 
     def __init__(self, plan: PipelinePlan, source: str, lib_path: Path,
@@ -380,11 +381,20 @@ class NativePipeline:
         #: schedule store (no generate_c, no compiler invocation)
         self.loaded_from_store = False
         self._lib = ctypes.CDLL(str(lib_path))
-        self._func = getattr(self._lib, func_name)
-        self._func.restype = None
         self._params = sorted(plan.estimates, key=lambda p: p.name)
         self._images = list(plan.ir.graph.inputs)
         self._outputs = list(plan.outputs)
+        try:
+            self._entry = getattr(self._lib, func_name + "_batch")
+        except AttributeError:
+            raise BuildError(
+                f"{lib_path} does not export {func_name}_batch") from None
+        self._entry.restype = None
+        self._entry.argtypes = (
+            [ctypes.c_int, ctypes.c_int]
+            + [ctypes.c_long] * len(self._params)
+            + [ctypes.POINTER(ctypes.c_void_p)]
+            * (len(self._images) + len(self._outputs)))
         self.last_stats: NativeStats | None = None
         self._n_groups = len(plan.group_plans)
         self._call_lock = _artifact_lock(lib_path)
@@ -411,14 +421,6 @@ class NativePipeline:
         else:
             self._release_fn.restype = None
             self._release_fn.argtypes = []
-        # the batch entry point is absent from artifacts cached before it
-        # existed — probe, and let run_batch degrade to sequential calls
-        try:
-            self._batch_fn = getattr(self._lib, func_name + "_batch")
-        except AttributeError:
-            self._batch_fn = None
-        else:
-            self._batch_fn.restype = None
 
     @property
     def instrumented(self) -> bool:
@@ -428,16 +430,6 @@ class NativePipeline:
     def has_arena(self) -> bool:
         """Does this build own persistent per-thread scratch arenas?"""
         return self._release_fn is not None
-
-    @property
-    def has_batch(self) -> bool:
-        """Does the artifact export the multi-frame batch entry point?
-
-        False only for shared objects cached before batch codegen
-        existed; :meth:`run_batch` then degrades to sequential
-        single-frame calls.
-        """
-        return self._batch_fn is not None
 
     @property
     def needs_call_lock(self) -> bool:
@@ -478,12 +470,6 @@ class NativePipeline:
                 + ", ".join(sorted(missing)))
         return params
 
-    def _image_extents(self, image: Image,
-                       params: Mapping) -> tuple[int, ...]:
-        return tuple(
-            to_affine(e, params_only=True).evaluate_int(params)
-            for e in image.extents)
-
     def _checked_input(self, image: Image, inputs: Mapping,
                        extents: tuple[int, ...]) -> np.ndarray:
         if image not in inputs:
@@ -504,22 +490,17 @@ class NativePipeline:
                 f"output {stage.name!r} has an empty domain")
         return tuple(ivl.size for ivl in box)
 
-    def _acquire_output(self, stage, shape, pool) -> np.ndarray:
-        if pool is not None:
-            return pool.acquire(shape, stage.dtype.np_dtype)
-        return np.zeros(shape, dtype=stage.dtype.np_dtype)
-
-    def _invoke(self, fn, args, tracer, pool, release_on_error) -> None:
+    def _invoke(self, args, tracer, pool, release_on_error) -> None:
         """Call into the library under the artifact's locking contract."""
         try:
             if not self.needs_call_lock:
                 # no shared in-library state: run lock-free, concurrently
-                fn(*args)
+                self._entry(*args)
             else:
                 with self._call_lock:
                     if self._stats_reset is not None:
                         self._stats_reset()
-                    fn(*args)
+                    self._entry(*args)
                     if self._stats_fn is not None:
                         self.last_stats = self._read_stats()
                         if tracer is not None and tracer.enabled:
@@ -548,7 +529,7 @@ class NativePipeline:
                  *, n_threads: int = 1,
                  tracer=None,
                  pool=None) -> dict[str, np.ndarray]:
-        """Run the native pipeline.
+        """Run the native pipeline on one frame: a batch of one.
 
         ``pool`` is an optional
         :class:`repro.runtime.buffers.BufferPool`: output arrays are
@@ -557,27 +538,8 @@ class NativePipeline:
         them — the serving layer uses this for zero-allocation
         steady-state frames.
         """
-        if n_threads < 1:
-            raise ValueError(f"n_threads must be >= 1, got {n_threads}")
-        params = self._checked_params(param_values)
-        args: list = [ctypes.c_int(n_threads)]
-        args += [ctypes.c_long(int(params[p])) for p in self._params]
-
-        arrays = []
-        for image in self._images:
-            array = self._checked_input(image, inputs,
-                                        self._image_extents(image, params))
-            arrays.append(array)
-            args.append(array.ctypes.data_as(ctypes.c_void_p))
-
-        out_arrays = []
-        for stage in self._outputs:
-            shape = self._output_shape(stage, params)
-            out = self._acquire_output(stage, shape, pool)
-            out_arrays.append(out)
-            args.append(out.ctypes.data_as(ctypes.c_void_p))
-        self._invoke(self._func, args, tracer, pool, out_arrays)
-        return self._collect_outputs(out_arrays)
+        return self.run_batch(param_values, [inputs], n_threads=n_threads,
+                              tracer=tracer, pool=pool)[0]
 
     def run_batch(self, param_values: Mapping[Parameter, int],
                   inputs_list: Sequence[Mapping[Image, np.ndarray]],
@@ -591,9 +553,10 @@ class NativePipeline:
         generated ``<func>_batch`` entry point, which pays the ctypes
         crossing, thread-team setup, arena reservation and intermediate
         allocation once for the whole batch.  Outputs are byte-identical
-        to ``len(inputs_list)`` sequential single-frame calls; artifacts
-        cached before batch codegen existed (:attr:`has_batch` False)
-        transparently degrade to exactly that loop.
+        to ``len(inputs_list)`` single-frame calls.  Keys that are not
+        the plan's own ``Parameter``/``Image`` objects raise
+        :class:`~repro.runtime.executor.ExecutionError`, exactly as in
+        the interpreter.
 
         Returns one output dict per frame, in submission order.  As in
         :meth:`__call__`, ``pool`` supplies the zero-filled output
@@ -605,17 +568,17 @@ class NativePipeline:
         n = len(inputs_list)
         if n == 0:
             return []
-        if self._batch_fn is None:
-            return [self(param_values, inputs, n_threads=n_threads,
-                         tracer=tracer, pool=pool)
-                    for inputs in inputs_list]
+        for inputs in inputs_list:
+            check_unknown_keys(self.plan, param_values, inputs)
         params = self._checked_params(param_values)
-        args: list = [ctypes.c_int(n), ctypes.c_int(n_threads)]
-        args += [ctypes.c_long(int(params[p])) for p in self._params]
+        args: list = [n, n_threads]
+        args += [int(params[p]) for p in self._params]
 
         arrays = []  # keep per-frame input arrays alive across the call
         for image in self._images:
-            extents = self._image_extents(image, params)
+            extents = tuple(
+                to_affine(e, params_only=True).evaluate_int(params)
+                for e in image.extents)
             ptrs = (ctypes.c_void_p * n)()
             for f, inputs in enumerate(inputs_list):
                 array = self._checked_input(image, inputs, extents)
@@ -627,14 +590,16 @@ class NativePipeline:
         all_outs: list[np.ndarray] = []
         for stage in self._outputs:
             shape = self._output_shape(stage, params)
+            dtype = stage.dtype.np_dtype
             ptrs = (ctypes.c_void_p * n)()
             for f in range(n):
-                out = self._acquire_output(stage, shape, pool)
+                out = (pool.acquire(shape, dtype) if pool is not None
+                       else np.zeros(shape, dtype=dtype))
                 per_frame_outs[f].append(out)
                 all_outs.append(out)
                 ptrs[f] = out.ctypes.data
             args.append(ptrs)
-        self._invoke(self._batch_fn, args, tracer, pool, all_outs)
+        self._invoke(args, tracer, pool, all_outs)
         return [self._collect_outputs(outs) for outs in per_frame_outs]
 
 

@@ -1,7 +1,8 @@
 """C code generation (paper Section 3.7, Figure 7).
 
-Emits a single C function implementing the compiled pipeline.  The
-generated code has the same structure as the paper's Figure 7:
+Emits one C function implementing the compiled pipeline, with each
+group body emitted exactly once.  The generated code has the same
+structure as the paper's Figure 7:
 
 * an OpenMP-parallel loop over the leading tile dimension of each tiled
   group, with tile-local scratchpad allocations at the top of its body;
@@ -9,9 +10,10 @@ generated code has the same structure as the paper's Figure 7:
   region with each case's bound constraints (``max(1, 32*Ti)`` style);
 * relative (tile-origin) indexing into scratchpads, absolute indexing
   into full buffers;
-* ``#pragma GCC ivdep`` on unit-stride innermost loops so the C
-  compiler's vectorizer can do its job (the paper relies on icc the same
-  way).
+* vector hints on unit-stride innermost loops so the C compiler's
+  vectorizer can do its job (the paper relies on icc the same way):
+  ``#pragma omp simd`` on the fast nests (``CompileOptions.simd``),
+  the weaker ``#pragma GCC ivdep`` on the safe, clamped nests.
 
 Floor division/modulo helpers keep integer semantics identical to the
 DSL's (and NumPy's) flooring behaviour, which C's truncating division
@@ -33,13 +35,13 @@ arithmetic type (sub-``int`` loads re-promote to ``int`` exactly;
 ``double`` stages narrowed to ``float`` are re-widened at each use).
 With ``narrow`` off the output is byte-identical to previous versions.
 
-Every translation unit additionally exports a multi-frame entry point
-``<func>_batch(int n, int nthreads, params..., const T* const*
-in_frames..., T* const* out_frames...)`` that runs the identical
-pipeline body over ``n`` frames while paying the fixed per-call costs
-(thread-team setup, arena reservation, intermediate allocation, the
-ctypes crossing) once — the serving layer coalesces compatible queued
-requests into one such call (``docs/internals.md`` §17).
+That function is the multi-frame entry point ``<func>_batch(int n, int
+nthreads, params..., const T* const* in_frames..., T* const*
+out_frames...)``: it runs the pipeline body over ``n`` frames while
+paying the fixed per-call costs (thread-team setup, arena reservation,
+intermediate allocation, the ctypes crossing) once.  A single frame is
+a batch of one; the serving layer coalesces compatible queued requests
+into one larger call (``docs/internals.md`` §17).
 """
 
 from __future__ import annotations
@@ -216,8 +218,8 @@ class CGenerator:
     per-group wall-clock accumulator and tile counter, plus two exported
     accessors — ``<func>_stats(double*, long*)`` and
     ``<func>_stats_reset()`` — that :class:`repro.codegen.build.\
-NativePipeline` reads back through ctypes.  Uninstrumented output is
-    byte-identical to what older versions produced.
+NativePipeline` reads back through ctypes.  Uninstrumented output
+    contains none of this.
     """
 
     def __init__(self, plan: PipelinePlan, name: str = "pipeline",
@@ -495,32 +497,7 @@ NativePipeline` reads back through ctypes.  Uninstrumented output is
         self._uses_arena = arena_bytes > 0
         if self._uses_arena:
             self._emit_arena_globals(arena_bytes)
-        args = ["int _nthreads"]
-        args += [f"long {self.param(p)}" for p in self.params]
-        for img in self.images:
-            args.append(f"const {img.dtype.c_name}* restrict {self.buf(img)}")
-        for out in self.outputs:
-            args.append(f"{out.dtype.c_name}* restrict {self.buf(out)}")
-        w.open(f"void {self.func_name}({', '.join(args)})")
-        w.emit("#ifdef _OPENMP")
-        w.emit("if (_nthreads > 0) omp_set_num_threads(_nthreads);")
-        w.emit("#endif")
-        w.emit("(void)_nthreads;")
-        if self._uses_arena:
-            w.emit("#ifdef _OPENMP")
-            w.emit("repro_arena_reserve(omp_get_max_threads());")
-            w.emit("#else")
-            w.emit("repro_arena_reserve(1);")
-            w.emit("#endif")
-
-        self._emit_buffer_geometry()
-        self._emit_intermediate_allocs()
-
-        self._emit_group_bodies()
-
-        self._emit_frees()
-        w.close()
-        self._emit_batch_entry()
+        self._emit_entry()
         return str(w)
 
     def _emit_group_bodies(self) -> None:
@@ -540,22 +517,23 @@ NativePipeline` reads back through ctypes.  Uninstrumented output is
                 # the group loop is serial at this level, so no atomics
                 w.emit(f"repro_group_s[{i}] += repro_now() - _g{i}_t0;")
 
-    def _emit_batch_entry(self) -> None:
-        """The multi-frame entry point ``<func>_batch``.
+    def _emit_entry(self) -> None:
+        """The translation unit's one entry point, ``<func>_batch``.
 
-        Same per-frame semantics as the single-frame function — the
-        outputs are byte-identical — but the fixed per-call costs are
-        paid once for the whole batch: one ctypes crossing, one
-        ``omp_set_num_threads``, one arena reservation, and one
-        allocation of the full intermediate buffers (re-zeroed per frame
-        to preserve the single-frame ``calloc`` semantics).  Inputs and
-        outputs arrive as per-frame pointer arrays indexed ``[frame]``;
-        parameter values are shared by every frame in the batch.
+        Runs the pipeline over ``_nframes`` frames (a single frame is a
+        batch of one) while paying the fixed per-call costs once: one
+        ctypes crossing, one ``omp_set_num_threads``, one arena
+        reservation, and one allocation of the full intermediate
+        buffers.  Those are ``calloc``ed, so the first frame sees zeroes
+        without a pass over them, and re-zeroed with ``memset`` before
+        every later frame.  Inputs and outputs arrive as per-frame
+        pointer arrays indexed ``[frame]``; parameter values are shared
+        by every frame in the batch.
         """
         w = self.w
         w.emit()
-        w.emit("/* batch entry point: fixed costs amortized over "
-               "_nframes frames */")
+        w.emit("/* entry point: fixed costs amortized over _nframes "
+               "frames */")
         args = ["int _nframes", "int _nthreads"]
         args += [f"long {self.param(p)}" for p in self.params]
         for img in self.images:
@@ -576,8 +554,11 @@ NativePipeline` reads back through ctypes.  Uninstrumented output is
             w.emit("repro_arena_reserve(1);")
             w.emit("#endif")
         self._emit_buffer_geometry()
-        # full intermediates: one allocation for the whole batch,
-        # re-zeroed at the top of every frame (calloc parity)
+        # full intermediates: one zeroed allocation for the whole batch,
+        # re-zeroed before every later frame.  calloc rather than malloc
+        # + a memset per frame, so the first frame — the only frame of a
+        # single-frame call — pays no zeroing pass of its own
+        # (docs/internals.md §17).
         output_set = set(self.outputs)
         inter: list[tuple[str, str, str]] = []
         for stage, decision in self.plan.storage.items():
@@ -588,7 +569,7 @@ NativePipeline` reads back through ctypes.  Uninstrumented output is
             size = " * ".join(f"{base}_n{d}"
                               for d in range(stage_ir.ndim))
             ctype = self._stage_ctype(stage)
-            w.emit(f"{ctype}* {base} = ({ctype}*)malloc({size} * "
+            w.emit(f"{ctype}* {base} = ({ctype}*)calloc({size}, "
                    f"sizeof({ctype}));")
             inter.append((base, size, ctype))
         w.open("for (int _f = 0; _f < _nframes; _f++)")
@@ -601,11 +582,15 @@ NativePipeline` reads back through ctypes.  Uninstrumented output is
             w.emit(f"{out.dtype.c_name}* restrict {base} = "
                    f"{base}_frames[_f];")
         for base, size, ctype in inter:
-            w.emit(f"memset({base}, 0, {size} * sizeof({ctype}));")
+            w.emit(f"if (_f > 0) memset({base}, 0, {size} * "
+                   f"sizeof({ctype}));")
         if self.plan.options.specialize:
+            # caller-zeroes ABI: the Python wrapper always hands in
+            # zero-filled output buffers (np.zeros or a pool lease), so
+            # the defensive memset is skipped (see repro.codegen.build)
             if self.outputs:
                 w.emit("/* outputs: caller provides zero-filled "
-                       "buffers (see the single-frame ABI) */")
+                       "buffers */")
         else:
             for out in self.outputs:
                 base = self.buf(out)
@@ -706,37 +691,6 @@ NativePipeline` reads back through ctypes.  Uninstrumented output is
                 w.emit(f"const long {base}_hi{d} = {self.dim_upper(bounds)};")
                 w.emit(f"const long {base}_n{d} = "
                        f"{base}_hi{d} - {base}_lo{d} + 1;")
-
-    def _emit_intermediate_allocs(self) -> None:
-        w = self.w
-        output_set = set(self.outputs)
-        self._intermediate_fulls = []
-        for stage, decision in self.plan.storage.items():
-            if decision.kind == SCRATCH or stage in output_set:
-                continue
-            base = self.buf(stage)
-            stage_ir = self.plan.ir[stage]
-            size = " * ".join(f"{base}_n{d}" for d in range(stage_ir.ndim))
-            ctype = self._stage_ctype(stage)
-            w.emit(f"{ctype}* {base} = ({ctype}*)calloc({size}, "
-                   f"sizeof({ctype}));")
-            self._intermediate_fulls.append(base)
-        for out in self.outputs:
-            base = self.buf(out)
-            if self.plan.options.specialize:
-                # caller-zeroes ABI: the Python wrapper always hands in
-                # freshly zero-filled output buffers (np.zeros), so the
-                # defensive memset is skipped (see repro.codegen.build)
-                w.emit(f"/* {base}: caller provides a zero-filled "
-                       "buffer */")
-                continue
-            stage_ir = self.plan.ir[out]
-            size = " * ".join(f"{base}_n{d}" for d in range(stage_ir.ndim))
-            w.emit(f"memset({base}, 0, {size} * sizeof({out.dtype.c_name}));")
-
-    def _emit_frees(self) -> None:
-        for base in self._intermediate_fulls:
-            self.w.emit(f"free({base});")
 
     # -- untiled groups ------------------------------------------------------------
     def _emit_untiled_group(self, gp: GroupPlan) -> None:

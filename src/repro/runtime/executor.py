@@ -75,14 +75,15 @@ def shutdown_worker_pools() -> None:
 atexit.register(shutdown_worker_pools)
 
 
-def _check_unknown_keys(plan: PipelinePlan, params: Mapping,
-                        inputs: Mapping) -> None:
+def check_unknown_keys(plan: PipelinePlan, params: Mapping,
+                       inputs: Mapping) -> None:
     """Reject entries that do not belong to this plan.
 
     ``Parameter`` and ``Image`` hash by identity, so passing the *wrong
     object* with the right name would otherwise be silently ignored (and
-    a required key reported missing instead) — the same validation the
-    native backend performs.
+    a required key reported missing instead).  The native backend
+    (:meth:`repro.codegen.build.NativePipeline.run_batch`) calls this
+    too, so both backends reject a foreign key with the same error.
     """
     known_params = set(plan.estimates)
     unknown = [p for p in params if p not in known_params]
@@ -133,7 +134,7 @@ def execute_plan(plan: PipelinePlan,
     """
     tracer = tracer if tracer is not None else get_tracer()
     params = dict(param_values)
-    _check_unknown_keys(plan, params, inputs)
+    check_unknown_keys(plan, params, inputs)
     buffers: dict[Hashable, BufferView] = {}
     for image in plan.ir.graph.inputs:
         try:

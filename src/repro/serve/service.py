@@ -643,14 +643,13 @@ class PipelineService:
         Coalescing only pays when the *native* batch entry point will
         serve the frames — interpreter batching would serialize frames
         that parallel workers could overlap — so the window stays shut
-        until the policy is in the native state with a batch-capable
-        artifact.
+        until the policy is in the native state.
         """
         if not self._coalesce:
             return []
         self._poll_build()
-        backend, native = self._policy.backend_for_frame()
-        if backend != NATIVE or not getattr(native, "has_batch", False):
+        backend, _ = self._policy.backend_for_frame()
+        if backend != NATIVE:
             return []
         taken = self._queue.take_while(
             lambda other: self._batchable(request, other),
@@ -705,8 +704,7 @@ class PipelineService:
             return
         self._poll_build()
         backend, native = self._policy.backend_for_frame()
-        if (len(ready) == 1 or backend != NATIVE
-                or not getattr(native, "has_batch", False)):
+        if len(ready) == 1 or backend != NATIVE:
             for request in ready:
                 self._execute(request)
             return

@@ -31,9 +31,13 @@ def harris_legacy_source():
 
 
 def test_signature(harris_source):
-    assert "void pipe_harris(int _nthreads, long C, long R," in harris_source
-    assert "const float* restrict im_I" in harris_source
-    assert "float* restrict out_harris" in harris_source
+    assert ("void pipe_harris_batch(int _nframes, int _nthreads, long C, "
+            "long R, const float* const* im_I_frames, "
+            "float* const* out_harris_frames)") in harris_source
+    # each frame's pointers are bound to the names the group bodies use
+    assert "const float* restrict im_I = im_I_frames[_f];" in harris_source
+    assert ("float* restrict out_harris = out_harris_frames[_f];"
+            in harris_source)
 
 
 def test_parallel_tile_loop(harris_source):
@@ -59,7 +63,7 @@ def test_scratchpads_in_arena(harris_source):
     """Scratchpads for Ix, Iy, Sxx, Syy, Sxy carved out of the arena."""
     for name in ("s_Ix", "s_Iy", "s_Sxx", "s_Syy", "s_Sxy"):
         assert f"{name} = (float*)(_arena + " in harris_source
-    assert "malloc(" not in harris_source.split("pipe_harris(")[1]
+    assert "malloc(" not in harris_source.split("void pipe_harris_batch(")[1]
     # inlined stages have no storage at all
     for name in ("Ixx", "Ixy", "Iyy", "det", "trace"):
         assert f"s_{name}" not in harris_source
@@ -81,7 +85,7 @@ def test_arena_machinery(harris_source):
     assert "repro_arena_reserve(omp_get_max_threads());" in harris_source
     assert "aligned_alloc(64, (size_t)REPRO_ARENA_BYTES)" in harris_source
     assert "void pipe_harris_release(void)" in harris_source
-    body = harris_source.split("pipe_harris(")[1]
+    body = harris_source.split("void pipe_harris_batch(")[1]
     assert "free(" not in body
 
 

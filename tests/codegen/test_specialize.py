@@ -218,8 +218,8 @@ def test_bilateral_data_dependent_accesses_are_range_proven():
     blocks = _fast_blocks(source)
     scatters = [b for b in blocks if "+=" in b]
     slices = [b for b in blocks if "out_bilateral[" in b]
-    # gridw and gridv, in the single-frame and the batch entry point
-    assert len(scatters) == 4 and len(slices) == 2
+    # gridw and gridv, each emitted once
+    assert len(scatters) == 2 and len(slices) == 1
     for block in blocks:
         assert "iclamp(" not in block
         assert "fdiv(" not in block

@@ -16,7 +16,7 @@ Three layers under test:
   their deadlines burned) and the submitted-counts-accepted-only stats
   fix.
 
-Service-level tests inject a fake batch-capable native via the same
+Service-level tests inject a fake native via the same
 ``repro.codegen.build.build_native`` monkeypatch point the fault tests
 use, so they run deterministically without a compiler.
 """
@@ -62,28 +62,12 @@ def test_interpreter_run_batch_empty(served):
 @needs_cc
 def test_native_run_batch_bit_identical(served):
     native = served.compiled.build()
-    assert native.has_batch
     frames = [served.input_for(seed) for seed in range(5)]
     seq = [native(served.values, frame) for frame in frames]
     bat = native.run_batch(served.values, frames)
     for i, (a, b) in enumerate(zip(seq, bat)):
         for key in a:
             assert np.array_equal(a[key], b[key]), f"frame {i}, {key}"
-
-
-@needs_cc
-def test_native_run_batch_degrades_without_batch_symbol(served):
-    """Artifacts cached before batch codegen existed lack the symbol;
-    run_batch must transparently fall back to sequential calls."""
-    native = served.compiled.build()
-    frames = [served.input_for(seed) for seed in range(3)]
-    want = native.run_batch(served.values, frames)
-    native._batch_fn = None  # simulate a pre-batch cached artifact
-    assert not native.has_batch
-    got = native.run_batch(served.values, frames)
-    for a, b in zip(want, got):
-        for key in a:
-            assert np.array_equal(a[key], b[key])
 
 
 @needs_cc
@@ -226,13 +210,11 @@ def test_take_while_respects_max_n_and_empty_queue():
 
 
 # ---------------------------------------------------------------------------
-# Service-level coalescing (fake batch-capable native)
+# Service-level coalescing (fake native)
 # ---------------------------------------------------------------------------
 
 class BatchNative:
-    """Batch-capable native stand-in: interpreter semantics, call log."""
-
-    has_batch = True
+    """Native stand-in: interpreter semantics, call log."""
 
     def __init__(self, plan, delay_first: float = 0.0):
         self.plan = plan
