@@ -50,6 +50,10 @@ from repro.runtime.executor import check_unknown_keys
 CANONICAL_NAME = "repro_kernel"
 CANONICAL_FUNC = "pipe_" + CANONICAL_NAME
 
+#: distinct parameter-value tuples whose call geometry a
+#: :class:`NativePipeline` remembers before it starts over
+GEOMETRY_MEMO_SIZE = 64
+
 
 class BuildError(RuntimeError):
     """The C compiler failed or is unavailable."""
@@ -311,9 +315,9 @@ def get_cache(cache_dir: str | Path | None = None) -> CompileCache:
 
 #: per-artifact call locks, shared by every :class:`NativePipeline`
 #: loaded from the same published ``.so`` — the shared library (and hence
-#: its arenas and instrumentation counters) is process-global state, so a
-#: per-*instance* lock would not actually protect two instances of the
-#: same artifact from racing on it
+#: an instrumented build's timers and tile counters) is process-global
+#: state, so a per-*instance* lock would not actually protect two
+#: instances of the same artifact from racing on it
 _call_locks: dict[str, threading.Lock] = {}
 _call_locks_lock = threading.Lock()
 
@@ -343,23 +347,22 @@ class NativePipeline:
     in-library ``memset``.
 
     **Scratch arenas**: specialized builds keep per-thread scratchpads
-    in arenas owned by the shared library — sized at first call, grown
-    monotonically, reused across calls.  :meth:`release` frees them
-    (exported as ``<func>_release``); nothing calls it implicitly,
-    because the ``.so`` (and hence the arena) is shared by every
-    ``NativePipeline`` loaded from the same cached artifact.
+    in arenas owned by the shared library and reused across calls.
+    Each call checks out its own arena *set* (one slot per OpenMP
+    thread) from an idle list and returns it when it finishes.
+    :meth:`release` frees the idle sets (exported as
+    ``<func>_release``); nothing calls it implicitly, because the
+    ``.so`` (and hence its arenas) is shared by every ``NativePipeline``
+    loaded from the same cached artifact.
 
-    **Concurrency**: builds whose library holds shared mutable state —
-    scratch arenas or instrumentation counters — serialize calls on a
+    **Concurrency**: uninstrumented builds are re-entrant — concurrent
+    calls from several Python threads, into one artifact or many, run
+    at once, each with its own arena set and, with ``n_threads=N``, its
+    own OpenMP team.  Instrumented builds (``needs_call_lock``) share
+    per-group timers and tile counters, so their calls serialize on a
     *per-artifact* lock (shared across every instance loaded from the
-    same ``.so``, see :data:`_call_locks`): concurrent ``ctypes``
-    invocations of one such library would race on its arena slots and
-    counters.  This is contention by design; callers needing parallel
-    native throughput on one artifact should use OpenMP threads within
-    a call (``n_threads=N``) rather than concurrent calls.  Builds with
-    no shared state (``needs_call_lock`` False — uninstrumented,
-    arena-free) take no lock at all: distinct artifacts never serialize
-    against each other.
+    same ``.so``, see :data:`_call_locks`) that also covers the
+    reset / call / read-back of :attr:`last_stats`.
 
     **Batch ABI**: the artifact's one entry point is ``<func>_batch(int
     _nframes, int _nthreads, params..., const T* const* in_frames...,
@@ -397,6 +400,7 @@ class NativePipeline:
             * (len(self._images) + len(self._outputs)))
         self.last_stats: NativeStats | None = None
         self._n_groups = len(plan.group_plans)
+        self._geometry_memo: dict[tuple[int, ...], tuple] = {}
         self._call_lock = _artifact_lock(lib_path)
         # stats symbols exist only in instrumented builds — probe, don't
         # require
@@ -435,22 +439,23 @@ class NativePipeline:
     def needs_call_lock(self) -> bool:
         """Does calling this library mutate shared in-library state?
 
-        True for instrumented builds (global counters) and arena-owning
-        builds (per-thread scratch slots); such calls serialize on the
+        True only for instrumented builds, whose per-group timers and
+        tile counters are global; such calls serialize on the
         per-artifact lock.  False means calls are re-entrant and taken
-        lock-free.
+        lock-free (arenas are checked out per call).
         """
-        return self._stats_fn is not None or self._release_fn is not None
+        return self._stats_fn is not None
 
     def release(self) -> None:
-        """Free the library's persistent per-thread scratch arenas.
+        """Free the library's idle scratch arenas.
 
-        Safe to call at any time (the next invocation re-allocates) and
-        on builds without arenas (no-op).
+        Safe to call at any time, also while other threads are calling:
+        an arena set held by a running call is not touched, and a later
+        release frees it.  The next invocation re-allocates; builds
+        without arenas make this a no-op.
         """
         if self._release_fn is not None:
-            with self._call_lock:
-                self._release_fn()
+            self._release_fn()
 
     def _read_stats(self) -> NativeStats:
         n = max(1, self._n_groups)
@@ -483,12 +488,35 @@ class NativePipeline:
                 f"expected {extents}")
         return array
 
-    def _output_shape(self, stage, params: Mapping) -> tuple[int, ...]:
-        box = self.plan.ir[stage].domain.concretize(params)
-        if box is None:
-            raise ValueError(
-                f"output {stage.name!r} has an empty domain")
-        return tuple(ivl.size for ivl in box)
+    def _geometry(self, values: tuple[int, ...]
+                  ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+        """Input extents and output shapes for one parameter-value tuple.
+
+        Evaluating the symbolic extents and concretizing the output
+        domains is exact-rational work, tens of microseconds per call —
+        a sizeable share of a small frame — and a served pipeline sees
+        few distinct values, so the results are memoised in a small dict
+        (emptied when full).
+        """
+        geometry = self._geometry_memo.get(values)
+        if geometry is not None:
+            return geometry
+        params = dict(zip(self._params, values))
+        in_extents = [
+            tuple(to_affine(e, params_only=True).evaluate_int(params)
+                  for e in image.extents)
+            for image in self._images]
+        out_shapes = []
+        for stage in self._outputs:
+            box = self.plan.ir[stage].domain.concretize(params)
+            if box is None:
+                raise ValueError(
+                    f"output {stage.name!r} has an empty domain")
+            out_shapes.append(tuple(ivl.size for ivl in box))
+        if len(self._geometry_memo) >= GEOMETRY_MEMO_SIZE:
+            self._geometry_memo.clear()
+        geometry = self._geometry_memo[values] = (in_extents, out_shapes)
+        return geometry
 
     def _invoke(self, args, tracer, pool, release_on_error) -> None:
         """Call into the library under the artifact's locking contract."""
@@ -551,7 +579,7 @@ class NativePipeline:
         Every frame shares ``param_values`` (and hence shapes); inputs
         and outputs are marshalled as per-frame pointer arrays into the
         generated ``<func>_batch`` entry point, which pays the ctypes
-        crossing, thread-team setup, arena reservation and intermediate
+        crossing, thread-team setup, arena checkout and intermediate
         allocation once for the whole batch.  Outputs are byte-identical
         to ``len(inputs_list)`` single-frame calls.  Keys that are not
         the plan's own ``Parameter``/``Image`` objects raise
@@ -571,14 +599,12 @@ class NativePipeline:
         for inputs in inputs_list:
             check_unknown_keys(self.plan, param_values, inputs)
         params = self._checked_params(param_values)
-        args: list = [n, n_threads]
-        args += [int(params[p]) for p in self._params]
+        values = tuple(int(params[p]) for p in self._params)
+        args: list = [n, n_threads, *values]
+        in_extents, out_shapes = self._geometry(values)
 
         arrays = []  # keep per-frame input arrays alive across the call
-        for image in self._images:
-            extents = tuple(
-                to_affine(e, params_only=True).evaluate_int(params)
-                for e in image.extents)
+        for image, extents in zip(self._images, in_extents):
             ptrs = (ctypes.c_void_p * n)()
             for f, inputs in enumerate(inputs_list):
                 array = self._checked_input(image, inputs, extents)
@@ -588,8 +614,7 @@ class NativePipeline:
 
         per_frame_outs: list[list[np.ndarray]] = [[] for _ in range(n)]
         all_outs: list[np.ndarray] = []
-        for stage in self._outputs:
-            shape = self._output_shape(stage, params)
+        for stage, shape in zip(self._outputs, out_shapes):
             dtype = stage.dtype.np_dtype
             ptrs = (ctypes.c_void_p * n)()
             for f in range(n):

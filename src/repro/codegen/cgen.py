@@ -23,9 +23,11 @@ Under ``CompileOptions.specialize`` (the default) each case loop nest
 additionally gets an interior fast path (see :mod:`repro.codegen.opt`):
 clamp-free, strength-reduced, CSE'd nests behind a per-tile guard with
 ``#pragma omp simd`` innermost, while boundary tiles keep the safe
-clamped code; scratchpads move from per-invocation ``malloc`` into a
-persistent per-thread arena released via the exported
-``<func>_release()``.
+clamped code; scratchpads move from per-invocation ``malloc`` into
+persistent per-thread arenas.  Each call checks out its own arena set
+(one slot per OpenMP thread) from an idle list, so concurrent calls into
+one library never share scratch; the exported ``<func>_release()`` frees
+the idle sets.
 
 Under ``CompileOptions.narrow`` stages whose value range the static
 analysis proved (:mod:`repro.analysis.ranges`) store into the narrowest
@@ -38,7 +40,7 @@ With ``narrow`` off the output is byte-identical to previous versions.
 That function is the multi-frame entry point ``<func>_batch(int n, int
 nthreads, params..., const T* const* in_frames..., T* const*
 out_frames...)``: it runs the pipeline body over ``n`` frames while
-paying the fixed per-call costs (thread-team setup, arena reservation,
+paying the fixed per-call costs (thread-team setup, arena checkout,
 intermediate allocation, the ctypes crossing) once.  A single frame is
 a batch of one; the serving layer coalesces compatible queued requests
 into one larger call (``docs/internals.md`` §17).
@@ -522,8 +524,8 @@ NativePipeline` reads back through ctypes.  Uninstrumented output
 
         Runs the pipeline over ``_nframes`` frames (a single frame is a
         batch of one) while paying the fixed per-call costs once: one
-        ctypes crossing, one ``omp_set_num_threads``, one arena
-        reservation, and one allocation of the full intermediate
+        ctypes crossing, one ``omp_set_num_threads``, one arena-set
+        checkout, and one allocation of the full intermediate
         buffers.  Those are ``calloc``ed, so the first frame sees zeroes
         without a pass over them, and re-zeroed with ``memset`` before
         every later frame.  Inputs and outputs arrive as per-frame
@@ -548,10 +550,12 @@ NativePipeline` reads back through ctypes.  Uninstrumented output
         w.emit("#endif")
         w.emit("(void)_nthreads;")
         if self._uses_arena:
+            # this call's own arena set, sized for the team it may run
             w.emit("#ifdef _OPENMP")
-            w.emit("repro_arena_reserve(omp_get_max_threads());")
+            w.emit("repro_arena_set* _set = "
+                   "repro_arena_acquire(omp_get_max_threads());")
             w.emit("#else")
-            w.emit("repro_arena_reserve(1);")
+            w.emit("repro_arena_set* _set = repro_arena_acquire(1);")
             w.emit("#endif")
         self._emit_buffer_geometry()
         # full intermediates: one zeroed allocation for the whole batch,
@@ -603,6 +607,8 @@ NativePipeline` reads back through ctypes.  Uninstrumented output
         w.close()
         for base, _, _ in inter:
             w.emit(f"free({base});")
+        if self._uses_arena:
+            w.emit("repro_arena_putback(_set);")
         w.close()
 
     def _emit_instrument_globals(self) -> None:
@@ -627,45 +633,77 @@ NativePipeline` reads back through ctypes.  Uninstrumented output
         w.emit()
 
     def _emit_arena_globals(self, arena_bytes: int) -> None:
-        """Persistent per-thread scratch arenas plus the release export.
+        """Persistent scratch arenas, checked out per call, plus the
+        release export.
 
-        Slots are grown (never shrunk) serially at function entry; each
-        thread lazily allocates its arena on first use and keeps it
-        across calls.  ``<func>_release()`` frees everything — the
-        Python wrapper exposes it, nothing calls it implicitly.
+        An arena *set* is the per-OpenMP-thread slot array one call
+        needs.  Idle sets wait on a list guarded by one mutex: the entry
+        pops one (or allocates an empty one), grows it to the call's
+        team size, and pushes it back before it returns, so concurrent
+        calls never share a slot.  Each thread lazily allocates its
+        slot's arena on first use and the set keeps it across calls.
+        ``<func>_release()`` frees the *idle* sets only — a set held by
+        a running call goes back on the list and a later release frees
+        it — so it is safe at any time.  The Python wrapper exposes it;
+        nothing calls it implicitly.
         """
         w = self.w
-        w.emit("/* persistent per-thread scratch arenas */")
+        w.emit("/* persistent scratch arenas: one set per concurrent "
+               "call, one slot per thread */")
+        w.emit("#include <pthread.h>")
         w.emit(f"#define REPRO_ARENA_BYTES "
                f"{max(arena_bytes, ARENA_ALIGN)}L")
-        w.emit("static void** repro_arena_slots = NULL;")
-        w.emit("static long repro_arena_nslots = 0;")
-        w.open("static void repro_arena_reserve(long n)")
-        w.emit("if (n <= repro_arena_nslots) return;")
-        w.emit("void** grown = (void**)calloc((size_t)n, sizeof(void*));")
-        w.emit("if (!grown) return;")
-        w.open("if (repro_arena_slots)")
-        w.emit("memcpy(grown, repro_arena_slots, "
-               "(size_t)repro_arena_nslots * sizeof(void*));")
-        w.emit("free(repro_arena_slots);")
+        w.open("typedef struct repro_arena_set")
+        w.emit("struct repro_arena_set* next;")
+        w.emit("long nslots;")
+        w.emit("void** slots;")
+        w.close(" repro_arena_set;")
+        w.emit("static pthread_mutex_t repro_arena_lock = "
+               "PTHREAD_MUTEX_INITIALIZER;")
+        w.emit("static repro_arena_set* repro_arena_idle = NULL;")
+        w.open("static repro_arena_set* repro_arena_acquire(long n)")
+        w.emit("pthread_mutex_lock(&repro_arena_lock);")
+        w.emit("repro_arena_set* s = repro_arena_idle;")
+        w.emit("if (s) repro_arena_idle = s->next;")
+        w.emit("pthread_mutex_unlock(&repro_arena_lock);")
+        w.emit("if (!s) s = (repro_arena_set*)calloc(1, sizeof *s);")
+        w.open("if (n > s->nslots)")
+        w.emit("void** grown = (void**)realloc(s->slots, "
+               "(size_t)n * sizeof(void*));")
+        w.emit("memset(grown + s->nslots, 0, "
+               "(size_t)(n - s->nslots) * sizeof(void*));")
+        w.emit("s->slots = grown;")
+        w.emit("s->nslots = n;")
         w.close()
-        w.emit("repro_arena_slots = grown;")
-        w.emit("repro_arena_nslots = n;")
+        w.emit("return s;")
         w.close()
-        w.open("static char* repro_arena_get(long tid)")
-        w.emit("void* p = repro_arena_slots[tid];")
+        w.open("static void repro_arena_putback(repro_arena_set* s)")
+        w.emit("pthread_mutex_lock(&repro_arena_lock);")
+        w.emit("s->next = repro_arena_idle;")
+        w.emit("repro_arena_idle = s;")
+        w.emit("pthread_mutex_unlock(&repro_arena_lock);")
+        w.close()
+        w.open("static char* repro_arena_get(repro_arena_set* s, long tid)")
+        w.emit("void* p = s->slots[tid];")
         w.open("if (!p)")
         w.emit("p = aligned_alloc(64, (size_t)REPRO_ARENA_BYTES);")
-        w.emit("repro_arena_slots[tid] = p;")
+        w.emit("s->slots[tid] = p;")
         w.close()
         w.emit("return (char*)p;")
         w.close()
         w.open(f"void {self.func_name}_release(void)")
-        w.emit("for (long _i = 0; _i < repro_arena_nslots; _i++) "
-               "free(repro_arena_slots[_i]);")
-        w.emit("free(repro_arena_slots);")
-        w.emit("repro_arena_slots = NULL;")
-        w.emit("repro_arena_nslots = 0;")
+        w.emit("pthread_mutex_lock(&repro_arena_lock);")
+        w.emit("repro_arena_set* s = repro_arena_idle;")
+        w.emit("repro_arena_idle = NULL;")
+        w.emit("pthread_mutex_unlock(&repro_arena_lock);")
+        w.open("while (s)")
+        w.emit("repro_arena_set* next = s->next;")
+        w.emit("for (long _i = 0; _i < s->nslots; _i++) "
+               "free(s->slots[_i]);")
+        w.emit("free(s->slots);")
+        w.emit("free(s);")
+        w.emit("s = next;")
+        w.close()
         w.close()
         w.emit()
 
@@ -1111,7 +1149,8 @@ NativePipeline` reads back through ctypes.  Uninstrumented output
         # One parallel region: scratchpads are allocated once per thread
         # and reused by all the tiles that thread executes sequentially
         # (Section 3.6).  Under specialization they live in the
-        # persistent per-thread arena instead of per-invocation mallocs.
+        # thread's slot of the call's arena set instead of
+        # per-invocation mallocs.
         use_arena = self._uses_arena and bool(scratch_stages)
         w.emit("#pragma omp parallel")
         w.open("")
@@ -1121,7 +1160,7 @@ NativePipeline` reads back through ctypes.  Uninstrumented output
             w.emit("#ifdef _OPENMP")
             w.emit("_tid = omp_get_thread_num();")
             w.emit("#endif")
-            w.emit("char* _arena = repro_arena_get(_tid);")
+            w.emit("char* _arena = repro_arena_get(_set, _tid);")
             for stage in scratch_stages:
                 ctype = self._stage_ctype(stage)
                 w.emit(f"{ctype}* {self.scratch(stage)} = "

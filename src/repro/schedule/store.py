@@ -43,7 +43,12 @@ from typing import Mapping, Sequence
 from repro.lang.constructs import Variable
 from repro.lang.function import Accumulator
 
-STORE_VERSION = 1
+#: bumped whenever a stored artifact's *calling contract* changes, since
+#: ``build_native(store=...)`` dlopens the referenced ``.so`` without
+#: regenerating its C.  2: artifacts are re-entrant (arena sets checked
+#: out per call) and are called without a lock; a version-1 artifact
+#: still indexes one global slot table and would race.
+STORE_VERSION = 2
 #: subdirectory of the artifact cache root holding schedule entries
 STORE_SUBDIR = "schedules"
 

@@ -4,8 +4,7 @@
 as the thread-based :class:`~repro.serve.service.PipelineService`, but
 executes frames in a fleet of spawn-mode worker processes
 (:mod:`repro.serve.worker`), so the interpreter fallback escapes the
-GIL and native calls in different shards never serialize on a
-per-artifact lock.  The router owns:
+GIL.  The router owns:
 
 * **Admission** — a bounded count of in-flight frames across all
   shards; past it, ``submit`` rejects with

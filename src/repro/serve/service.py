@@ -321,12 +321,13 @@ class PipelineService:
         The :class:`~repro.api.CompiledPipeline` to serve (anything with
         ``.plan`` and ``.name`` works).
     workers:
-        Consumer threads draining the submission queue.  Note native
-        artifacts with scratch arenas serialize concurrent calls on a
-        per-artifact lock (see
-        :attr:`repro.codegen.build.NativePipeline.needs_call_lock`), so
-        extra workers mainly overlap interpreter frames and queue
-        management; use ``n_threads`` for intra-frame parallelism.
+        Consumer threads draining the submission queue.  Uninstrumented
+        native artifacts are re-entrant, so each worker runs its own
+        frame (or coalesced batch) in the library at the same time as
+        the others: workers parallelize *across* frames, ``n_threads``
+        *within* one.  Only instrumented builds serialize their calls
+        on a per-artifact lock (see
+        :attr:`repro.codegen.build.NativePipeline.needs_call_lock`).
     max_queue:
         Submission queue capacity; a full queue rejects with
         :class:`Overloaded`.

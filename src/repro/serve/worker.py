@@ -5,9 +5,8 @@ its shard: the unpickled plan, a private background native build (the
 content-addressed :class:`~repro.codegen.build.CompileCache` dedups the
 actual ``gcc`` run across workers), its own
 :class:`~repro.serve.fallback.FallbackPolicy`, scratch arenas, and an
-output :class:`~repro.serve.shm.ShmBufferPool` — so native calls in
-different shards never serialize on a per-artifact lock and the
-interpreter fallback escapes the GIL entirely.
+output :class:`~repro.serve.shm.ShmBufferPool` — so the interpreter
+fallback escapes the GIL entirely.
 
 Internally a worker is simply a :class:`~repro.serve.service.
 PipelineService` (threads, bounded queue, deadlines, coalescing —

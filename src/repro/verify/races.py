@@ -116,7 +116,7 @@ def race_diagnostics(plan: PipelinePlan, emit: Emitter,
 # ---------------------------------------------------------------------------
 
 _STATIC_DECL = re.compile(r"^\s*static\s+[A-Za-z_][\w ]*?\b(\w+)\s*\[")
-#: pointer-valued statics (e.g. the persistent arena slot table): no
+#: pointer-valued statics (e.g. the idle arena-set list head): no
 #: bracket in the declarator, ``*`` in the type
 _STATIC_PTR_DECL = re.compile(
     r"^\s*static\s+[A-Za-z_][\w ]*?\*+\s*(\w+)\s*[=;]")
@@ -133,8 +133,9 @@ def _write_pattern(names: set[str]) -> re.Pattern | None:
         return None
     alt = "|".join(re.escape(n) for n in sorted(names))
     return re.compile(
-        rf"\b({alt})\s*\[([^\]]*)\]\s*(\+\+|--|[-+*/|&^]?=[^=])"
-        rf"|(\+\+|--)\s*({alt})\s*\[")
+        rf"\b({alt})\s*(?:\[([^\]]*)\])?\s*(?:->\s*\w+\s*)?"
+        rf"(\+\+|--|[-+*/|&^]?=[^=])"
+        rf"|(\+\+|--)\s*({alt})\b")
 
 
 def lint_c_source(source: str, emit: Emitter,
@@ -142,9 +143,9 @@ def lint_c_source(source: str, emit: Emitter,
     """Scan generated C for un-atomic writes to shared statics (RV302).
 
     Tracks both array statics (the instrument-mode accumulators) and
-    pointer statics (the persistent arena slot table).  Writes whose
-    index is the thread id (``_tid`` / ``omp_get_thread_num()``) are
-    per-thread slots, not shared cells, and are allowed.
+    pointer statics (the idle arena-set list), indexed or not.  Writes
+    whose index is the thread id (``_tid`` / ``omp_get_thread_num()``)
+    are per-thread slots, not shared cells, and are allowed.
     """
     shared: set[str] = set()
     for line in source.splitlines():
@@ -181,7 +182,7 @@ def lint_c_source(source: str, emit: Emitter,
                 emit.emit(
                     "RV302",
                     f"line {lineno}: write to shared static "
-                    f"{match.group(0).split('[')[0].strip()!r} "
+                    f"{match.group(1) or match.group(5)!r} "
                     "inside a parallel region without '#pragma omp atomic'",
                     hint="every tile iteration may execute this "
                          "concurrently; guard the update or make it "

@@ -80,12 +80,30 @@ def test_scratchpads_allocated_per_thread_legacy(harris_legacy_source):
 
 
 def test_arena_machinery(harris_source):
-    """Persistent arenas: reserve at entry, lazy per-thread allocation,
-    an exported release, and no per-invocation frees."""
-    assert "repro_arena_reserve(omp_get_max_threads());" in harris_source
-    assert "aligned_alloc(64, (size_t)REPRO_ARENA_BYTES)" in harris_source
-    assert "void pipe_harris_release(void)" in harris_source
-    body = harris_source.split("void pipe_harris_batch(")[1]
+    """Persistent arenas, checked out per call: the entry pops an arena
+    set sized for its team from a mutex-guarded idle list and pushes it
+    back before returning; threads allocate their slot lazily; release
+    frees only the idle sets; no global slot table, no per-invocation
+    frees."""
+    globals_, body = harris_source.split("void pipe_harris_batch(")
+    assert "static pthread_mutex_t repro_arena_lock = " \
+        "PTHREAD_MUTEX_INITIALIZER;" in globals_
+    assert "static repro_arena_set* repro_arena_idle = NULL;" in globals_
+    assert "aligned_alloc(64, (size_t)REPRO_ARENA_BYTES)" in globals_
+    assert "void pipe_harris_release(void)" in globals_
+    for gone in ("repro_arena_slots", "repro_arena_nslots",
+                 "repro_arena_reserve"):
+        assert gone not in harris_source, gone
+    release = globals_.split("void pipe_harris_release(void)")[1]
+    assert release.index("repro_arena_idle = NULL;") \
+        < release.index("pthread_mutex_unlock")
+    # one checkout at entry, one putback as the last statement
+    assert body.count("repro_arena_acquire(") == 2  # OpenMP / serial arm
+    assert ("repro_arena_set* _set = "
+            "repro_arena_acquire(omp_get_max_threads());") in body
+    assert body.rstrip().endswith("repro_arena_putback(_set);\n}")
+    assert body.count("repro_arena_putback(_set);") == 1
+    assert "repro_arena_get(_set, _tid)" in body
     assert "free(" not in body
 
 

@@ -66,6 +66,70 @@ def test_empty_domain_rejected(native):
         pipe({R: -5, C: -5}, {app.images[0]: np.zeros((0, 0), np.float32)})
 
 
+def test_call_geometry_is_memoised_per_parameter_values(native,
+                                                        monkeypatch):
+    """Input extents and output shapes are evaluated once per distinct
+    parameter values: repeat calls do no symbolic work, new values do,
+    and the error texts do not depend on whether the memo was hit."""
+    import repro.codegen.build as build
+    app, est, shared = native
+    pipe = build.load_native(shared.plan, "nat_memo", shared.build_info)
+    image = app.images[0]
+    calls = {"extents": 0, "domains": 0}
+    to_affine = build.to_affine
+    domain_type = type(pipe.plan.ir[pipe.plan.outputs[0]].domain)
+    concretize = domain_type.concretize
+
+    def counting_to_affine(*args, **kwargs):
+        calls["extents"] += 1
+        return to_affine(*args, **kwargs)
+
+    def counting_concretize(self, *args, **kwargs):
+        calls["domains"] += 1
+        return concretize(self, *args, **kwargs)
+
+    monkeypatch.setattr(build, "to_affine", counting_to_affine)
+    monkeypatch.setattr(domain_type, "concretize", counting_concretize)
+    rng = np.random.default_rng(0)
+    frame = {image: rng.random((66, 66), dtype=np.float32)}
+    first = pipe(est, frame)["harris"]
+    assert calls == {"extents": 2, "domains": 1}
+    for _ in range(3):
+        np.testing.assert_array_equal(pipe(est, frame)["harris"], first)
+    pipe.run_batch(est, [frame, frame])
+    assert calls == {"extents": 2, "domains": 1}
+
+    R, C = app.params["R"], app.params["C"]
+    other = {R: 32, C: 48}
+    small = {image: rng.random((34, 50), dtype=np.float32)}
+    assert pipe(other, small)["harris"].shape == (34, 50)
+    assert calls == {"extents": 4, "domains": 2}
+    pipe(other, small)
+    assert calls == {"extents": 4, "domains": 2}
+
+    for _ in range(2):  # memo hit both times: same texts as ever
+        with pytest.raises(ValueError) as excinfo:
+            pipe(est, {image: np.zeros((4, 4), np.float32)})
+        assert str(excinfo.value) == \
+            f"input {image.name!r} has shape (4, 4), expected (66, 66)"
+        with pytest.raises(ValueError) as excinfo:
+            pipe(est, {})
+        assert str(excinfo.value) == \
+            f"missing input array for image {image.name!r}"
+
+
+def test_call_geometry_memo_is_bounded(native):
+    import repro.codegen.build as build
+    app, est, shared = native
+    pipe = build.load_native(shared.plan, "nat_memo_bound",
+                             shared.build_info)
+    R, C = app.params["R"], app.params["C"]
+    image = app.images[0]
+    for n in range(8, 8 + build.GEOMETRY_MEMO_SIZE + 3):
+        pipe({R: n, C: 8}, {image: np.zeros((n + 2, 10), np.float32)})
+        assert len(pipe._geometry_memo) <= build.GEOMETRY_MEMO_SIZE
+
+
 def test_non_contiguous_input_handled(native):
     """Strided NumPy views are copied to contiguous storage."""
     app, est, pipe = native

@@ -7,6 +7,12 @@ proven (``repro.codegen.opt``), so this builds bilateral with
 ``-fsanitize=address`` and feeds it NaN, ±inf, negative and huge pixels
 mixed with valid ones: any escape from a grid is an ASan report.
 
+A second leg checks the arena lifetime rule under the same runtime:
+two threads call one artifact at once while a third calls ``release()``
+in a loop.  Each call checks out its own arena set and release frees
+only idle sets, so a set freed under a running call would be a
+use-after-free report here.
+
 The instrumented library is loaded into a fresh interpreter with the
 ASan runtime preloaded (a sanitized ``.so`` cannot be dlopen'd into an
 uninstrumented process otherwise); this process compiles it first, so
@@ -77,7 +83,59 @@ print("clean", len(frames))
 """
 
 
-def test_bilateral_survives_hostile_pixels_under_asan(tmp_path):
+CHILD_THREADS = r"""
+import sys
+import threading
+import numpy as np
+from repro import CompileOptions, compile_pipeline
+from repro.apps import bilateral
+from repro.codegen.build import build_native
+
+cache, size = sys.argv[1], int(sys.argv[2])
+app = bilateral.build_pipeline()
+values = {app.params["R"]: size, app.params["C"]: size}
+compiled = compile_pipeline(app.outputs, values,
+                            CompileOptions.optimized(%(tiles)r),
+                            name="asan_bilateral")
+native = build_native(compiled.plan, "asan_bilateral", cache_dir=cache,
+                      extra_flags=%(flags)r)
+assert native.build_info.cache_hit, "the child must not run the compiler"
+assert not native.needs_call_lock
+image = app.images[0]
+frames = [rng.random((size, size), dtype=np.float32)
+          for rng in map(np.random.default_rng, (1, 2))]
+want = [native(values, {image: f})["bilateral"] for f in frames]
+native.release()
+finished, bad, releases = [], [], [0]
+
+def caller(k):
+    try:
+        for r in range(24):
+            out = native(values, {image: frames[k]}, n_threads=1 + (r + k) %% 2)
+            if not np.array_equal(out["bilateral"], want[k]):
+                bad.append((k, r))
+    finally:
+        finished.append(k)
+
+def releaser():
+    while len(finished) < 2:
+        native.release()
+        releases[0] += 1
+
+threads = [threading.Thread(target=caller, args=(k,)) for k in (0, 1)]
+threads.append(threading.Thread(target=releaser))
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+assert not bad, bad
+assert releases[0] > 0
+native.release()
+print("clean", len(finished))
+"""
+
+
+def _compile_sanitized(cache) -> None:
     app = bilateral.build_pipeline()
     values = {app.params["R"]: SIZE, app.params["C"]: SIZE}
     compiled = compile_pipeline(app.outputs, values,
@@ -85,14 +143,29 @@ def test_bilateral_survives_hostile_pixels_under_asan(tmp_path):
                                 name="asan_bilateral")
     # compile only: dlopen'ing it here, without the runtime preloaded,
     # would make ASan abort this process
-    compile_artifact(compiled.plan, cache_dir=tmp_path, extra_flags=FLAGS)
+    compile_artifact(compiled.plan, cache_dir=cache, extra_flags=FLAGS)
+
+
+def _run_child(script: str, cache) -> str:
     env = dict(os.environ, LD_PRELOAD=LIBASAN, PYTHONPATH=str(SRC),
                ASAN_OPTIONS="detect_leaks=0:abort_on_error=0")
     result = subprocess.run(
         [sys.executable, "-c",
-         CHILD % {"tiles": TILES, "flags": FLAGS}, str(tmp_path),
+         script % {"tiles": TILES, "flags": FLAGS}, str(cache),
          str(SIZE)],
         capture_output=True, text=True, env=env, timeout=300)
     assert "AddressSanitizer" not in result.stderr, result.stderr[-4000:]
     assert result.returncode == 0, result.stderr[-4000:]
-    assert result.stdout.split() == ["clean", "8"], result.stdout
+    return result.stdout
+
+
+def test_bilateral_survives_hostile_pixels_under_asan(tmp_path):
+    _compile_sanitized(tmp_path)
+    out = _run_child(CHILD, tmp_path)
+    assert out.split() == ["clean", "8"], out
+
+
+def test_release_during_concurrent_calls_under_asan(tmp_path):
+    _compile_sanitized(tmp_path)
+    out = _run_child(CHILD_THREADS, tmp_path)
+    assert out.split() == ["clean", "2"], out

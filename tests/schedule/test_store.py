@@ -203,6 +203,31 @@ def test_build_native_store_round_trip(tmp_path):
 
 
 @needs_cc
+def test_version_1_entry_is_never_loaded(tmp_path):
+    """A version-1 entry names an artifact built before arenas were
+    checked out per call; such a library would race when called without
+    the lock, so it must be rebuilt, never dlopened from the store."""
+    assert STORE_VERSION == 2
+    app, values, plan = _plan()
+    build_native(plan, "store_v1", cache_dir=tmp_path, store="rw")
+    store = ScheduleStore(tmp_path / "schedules")
+    [entry] = store.entries()
+    assert entry.artifact is not None
+    path = store.path_for(entry.pipeline, entry.fingerprint)
+    doc = json.loads(path.read_text())
+    doc["version"] = 1  # same real artifact, old contract
+    path.write_text(json.dumps(doc))
+    assert store.lookup(entry.pipeline, entry.fingerprint) is None
+
+    app2, values2, plan2 = _plan()
+    rebuilt = build_native(plan2, "store_v1", cache_dir=tmp_path,
+                           store="ro")
+    assert rebuilt.loaded_from_store is False
+    inputs = app2.make_inputs(values2, np.random.default_rng(0))
+    assert rebuilt(values2, inputs)
+
+
+@needs_cc
 def test_store_miss_on_option_mismatch(tmp_path):
     app, values, plan = _plan()
     build_native(plan, "opt_a", cache_dir=tmp_path, store="rw")

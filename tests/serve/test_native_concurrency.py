@@ -1,12 +1,15 @@
-"""Native call-locking regression tests.
+"""Native re-entrancy and call-locking tests.
 
-The ``.so`` behind a :class:`~repro.codegen.build.NativePipeline` holds
-process-global state (scratch-arena slots, instrumentation counters), so
-concurrent calls into *one artifact* must serialize — but that lock has
-to live with the artifact, not the Python wrapper: two wrappers loaded
-from the same cached ``.so`` share the library state, and two different
-artifacts share nothing.  These tests pin down both directions, plus the
-lock-free fast path for builds with no shared state at all.
+Specialized builds keep scratch arenas inside the ``.so``, but every
+call checks out its own arena set (one slot per OpenMP thread) and
+returns it when done, so uninstrumented artifacts are re-entrant:
+concurrent calls into *one artifact* run at once, take no lock, and
+compute the same pixels as sequential calls, also while another thread
+releases the idle arenas.  Instrumented builds still share global
+timers and tile counters; for them the lock lives with the artifact,
+not the Python wrapper — two wrappers loaded from the same cached
+``.so`` share the library state, and two different artifacts share
+nothing.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro import CompileOptions, compile_pipeline
+from repro.bench.harness import APP_BUILDERS, DEFAULT_TILES, make_instance
 from repro.codegen.build import (
     _artifact_lock, build_native, compiler_available,
 )
@@ -58,7 +62,37 @@ def test_plain_build_is_lock_free():
 def test_instrumented_build_needs_lock(served):
     nat = build_native(served.compiled.plan, "locked", instrument=True)
     assert nat.instrumented
+    assert nat.has_arena
     assert nat.needs_call_lock
+
+
+def test_arena_build_is_lock_free(served):
+    """Arenas alone no longer call for the lock: they are per call."""
+    nat = build_native(served.compiled.plan, "arena_free")
+    assert nat.has_arena
+    assert not nat.instrumented
+    assert not nat.needs_call_lock
+
+
+def test_same_artifact_call_runs_while_its_lock_is_held(served):
+    """Regression: a call into an uninstrumented artifact with arenas
+    completes while another thread holds *that* artifact's lock — the
+    lock is no longer on its path."""
+    nat = build_native(served.compiled.plan, "reentrant")
+    inputs = served.input_for(0)
+    want = nat(served.values, inputs)[served.out]
+    result: dict = {}
+
+    def call() -> None:
+        result["out"] = nat(served.values, inputs, n_threads=2)[served.out]
+
+    with nat._call_lock:  # the same artifact "mid-call"
+        thread = threading.Thread(target=call)
+        thread.start()
+        thread.join(60)
+        assert not thread.is_alive(), \
+            "call blocked on its own artifact's lock"
+    assert np.array_equal(result["out"], want)
 
 
 def test_distinct_artifacts_do_not_serialize():
@@ -124,3 +158,102 @@ def test_concurrent_services_on_distinct_pipelines(tmp_path):
     finally:
         for service in services:
             service.close()
+
+
+def _run_concurrently(*targets) -> None:
+    """Start one thread per target behind a barrier; re-raise the first
+    error any of them hit."""
+    barrier = threading.Barrier(len(targets))
+    errors: list = []
+
+    def run(target) -> None:
+        try:
+            barrier.wait(30)
+            target()
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(target,))
+               for target in targets]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(300)
+    assert not any(t.is_alive() for t in threads), "a caller hung"
+    if errors:
+        raise errors[0]
+
+
+CALLERS = 2
+ROUNDS = 4
+
+
+@pytest.mark.parametrize("name", tuple(APP_BUILDERS))
+def test_concurrent_calls_match_sequential(name):
+    """Two threads call one artifact at once, each with its own seeded
+    frames, alternating 1- and 2-thread OpenMP teams: every output is
+    bit-identical to a sequential call on the same frame."""
+    instance = make_instance(name, "tiny")
+    app = instance.app
+    compiled = compile_pipeline(app.outputs, instance.values,
+                                CompileOptions.optimized(DEFAULT_TILES[name]),
+                                name=f"reent_{name}")
+    nat = build_native(compiled.plan, f"reent_{name}")
+    assert not nat.needs_call_lock
+    frames = [app.make_inputs(instance.values, np.random.default_rng(seed))
+              for seed in range(CALLERS)]
+    want = [nat(instance.values, f) for f in frames]
+    got: list = [[] for _ in range(CALLERS)]
+
+    def caller(k: int) -> None:
+        for r in range(ROUNDS):
+            got[k].append(nat(instance.values, frames[k],
+                              n_threads=1 + (r + k) % 2))
+
+    _run_concurrently(*(lambda k=k: caller(k) for k in range(CALLERS)))
+    for k in range(CALLERS):
+        for out in got[k]:
+            assert out.keys() == want[k].keys()
+            for key in out:
+                assert np.array_equal(out[key], want[k][key]), (k, key)
+    nat.release()
+
+
+def test_release_while_calling_changes_no_pixel():
+    """``release()`` in a loop while two threads call: it frees idle
+    arena sets only, so nothing crashes and every output is exact."""
+    instance = make_instance("bilateral", "tiny")
+    app = instance.app
+    compiled = compile_pipeline(
+        app.outputs, instance.values,
+        CompileOptions.optimized(DEFAULT_TILES["bilateral"]),
+        name="reent_release")
+    nat = build_native(compiled.plan, "reent_release")
+    assert nat.has_arena and not nat.needs_call_lock
+    frames = [app.make_inputs(instance.values, np.random.default_rng(seed))
+              for seed in range(CALLERS)]
+    want = [nat(instance.values, f) for f in frames]
+    finished: list = []
+    releases = [0]
+    mismatches: list = []
+
+    def caller(k: int) -> None:
+        try:
+            for r in range(3 * ROUNDS):
+                out = nat(instance.values, frames[k],
+                          n_threads=1 + (r + k) % 2)
+                for key in out:
+                    if not np.array_equal(out[key], want[k][key]):
+                        mismatches.append((k, r, key))
+        finally:
+            finished.append(k)
+
+    def releaser() -> None:
+        while len(finished) < CALLERS:
+            nat.release()
+            releases[0] += 1
+
+    _run_concurrently(lambda: caller(0), lambda: caller(1), releaser)
+    assert not mismatches, mismatches
+    assert releases[0] > 0
+    nat.release()
