@@ -258,56 +258,6 @@ def time_ms(fn: Callable[[], object], runs: int = 6) -> float:
     return time_stats(fn, runs).mean_ms
 
 
-@dataclass(frozen=True)
-class ThroughputStats:
-    """Sustained throughput of one configuration (frames per second).
-
-    Where :class:`TimingStats` asks "how fast is one frame", this asks
-    "how many frames per second does the pipeline sustain" — the view a
-    video/streaming deployment cares about, and the one that rewards
-    eliminating per-invocation overheads (allocations, pool spin-up)
-    that a min-of-runs latency figure can hide.
-    """
-
-    frames: int
-    seconds: float
-    warmup_frames: int
-
-    @property
-    def fps(self) -> float:
-        return self.frames / self.seconds if self.seconds > 0 else 0.0
-
-    @property
-    def ms_per_frame(self) -> float:
-        return self.seconds / self.frames * 1000.0 if self.frames else 0.0
-
-    def as_dict(self) -> dict:
-        return {"frames": self.frames, "seconds": self.seconds,
-                "warmup_frames": self.warmup_frames, "fps": self.fps,
-                "ms_per_frame": self.ms_per_frame}
-
-    def render(self) -> str:
-        return (f"{self.fps:.2f} frames/s "
-                f"({self.ms_per_frame:.2f} ms/frame, n={self.frames})")
-
-
-def throughput_stats(fn: Callable[[], object], *, min_frames: int = 8,
-                     min_seconds: float = 0.5,
-                     warmup: int = 2) -> ThroughputStats:
-    """Measure sustained frames/sec: ``warmup`` untimed calls, then at
-    least ``min_frames`` calls and ``min_seconds`` of wall clock."""
-    for _ in range(warmup):
-        fn()
-    frames = 0
-    t0 = time.perf_counter()
-    while True:
-        fn()
-        frames += 1
-        elapsed = time.perf_counter() - t0
-        if frames >= min_frames and elapsed >= min_seconds:
-            return ThroughputStats(frames, elapsed, warmup)
-
-
 def format_table(headers: list[str], rows: list[list]) -> str:
     """Markdown-style table with aligned columns."""
     def fmt(v):

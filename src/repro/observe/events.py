@@ -16,7 +16,7 @@ Two views share the same stamps:
   from the same monotonic timestamps, so the stages always add up;
 * a service-wide :class:`EventLog`, a bounded, lock-cheap ring buffer
   every mark is mirrored into, with an optional JSON-lines sink for
-  offline analysis (``python -m repro.bench.serve_bench --events``).
+  offline analysis (``PipelineService(events_path=...)``).
 
 Everything here is stdlib-only and always-on cheap: one ``mark`` is a
 clock read, a tuple append and a deque append under a short lock —

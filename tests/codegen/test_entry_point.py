@@ -33,6 +33,8 @@ needs_cc = pytest.mark.skipif(not compiler_available(),
                               reason="no C compiler found")
 
 APPS = tuple(APP_BUILDERS)
+#: apps whose batch entry is also driven with a 16-frame batch
+LONG_BATCH_APPS = ("harris", "unsharp", "camera")
 
 
 def _compiled(name: str, label: str):
@@ -95,22 +97,27 @@ def _data_dependent_case():
 @pytest.mark.parametrize("name", APPS + ("data_dependent_case",))
 def test_batched_frame_matches_batch_of_one(name):
     """``run_batch([f0, f1, f2])[k]`` is bit-identical to
-    ``run_batch([fk])[0]`` for three distinct random frames."""
+    ``run_batch([fk])[0]`` for three distinct random frames; the
+    ``LONG_BATCH_APPS`` also take a batch of sixteen."""
     if name == "data_dependent_case":
         compiled, values, frames = _data_dependent_case()
     else:
         instance, compiled = _compiled(name, f"frames_{name}")
         values = instance.values
         rng = np.random.default_rng(7)
-        frames = [instance.app.make_inputs(values, rng) for _ in range(3)]
+        count = 16 if name in LONG_BATCH_APPS else 3
+        frames = [instance.app.make_inputs(values, rng)
+                  for _ in range(count)]
     native = build_native(compiled.plan, compiled.name)
-    batched = native.run_batch(values, frames)
-    for k, frame in enumerate(frames):
-        alone = native.run_batch(values, [frame])[0]
-        assert alone.keys() == batched[k].keys()
-        for key in alone:
-            np.testing.assert_array_equal(batched[k][key], alone[key],
-                                          err_msg=f"frame {k}, {key}")
+    alone = [native.run_batch(values, [frame])[0] for frame in frames]
+    for size in sorted({3, len(frames)}):
+        batched = native.run_batch(values, frames[:size])
+        for k in range(size):
+            assert alone[k].keys() == batched[k].keys()
+            for key in alone[k]:
+                np.testing.assert_array_equal(
+                    batched[k][key], alone[k][key],
+                    err_msg=f"batch of {size}, frame {k}, {key}")
     native.release()
 
 

@@ -1,11 +1,12 @@
 """Precision narrowing in the C backend: storage types, footprint,
-output equivalence, and the narrow=False no-op guarantee."""
+output equivalence on every app, and the narrow=False no-op guarantee."""
 
 import numpy as np
 import pytest
 
 from repro import CompileOptions, compile_pipeline
-from repro.apps import iunsharp
+from repro.apps import ALL_APPS, iunsharp
+from repro.bench.harness import DEFAULT_TILES, make_instance
 from repro.codegen.build import build_native, compiler_available
 from repro.codegen.cgen import CGenerator, generate_c
 from repro.compiler.plan import compile_plan
@@ -70,15 +71,35 @@ def test_explain_reports_narrowing():
     assert "value ranges & narrowing" not in plain.explain()
 
 
-@pytest.mark.skipif(not compiler_available(), reason="no C compiler")
-def test_narrowed_native_output_bit_identical():
-    app, values, plain, narrow = _plans()
-    rng = np.random.default_rng(5)
-    inputs = app.make_inputs(values, rng)
-    nat_plain = build_native(plain, "narrow_off")
-    nat_narrow = build_native(narrow, "narrow_on")
-    out_plain = nat_plain(values, inputs)
-    out_narrow = nat_narrow(values, inputs)
+def _assert_native_identical(plain, narrow, values, inputs, label):
+    out_plain = build_native(plain, f"{label}_off")(values, inputs)
+    out_narrow = build_native(narrow, f"{label}_on")(values, inputs)
     for key, arr in out_plain.items():
         assert arr.dtype == out_narrow[key].dtype
         assert np.array_equal(arr, out_narrow[key]), key
+
+
+@pytest.mark.skipif(not compiler_available(), reason="no C compiler")
+def test_narrowed_native_output_bit_identical():
+    app, values, plain, narrow = _plans()
+    inputs = app.make_inputs(values, np.random.default_rng(5))
+    _assert_native_identical(plain, narrow, values, inputs, "narrow")
+
+
+@pytest.mark.parametrize("name", sorted(ALL_APPS))
+def test_narrow_on_off_identical_every_app(name):
+    """Narrowing is invisible in every app's outputs: an app it makes no
+    decision for emits byte-identical C, one it narrows computes
+    bit-identical native outputs."""
+    instance = make_instance(name, "tiny")
+    options = CompileOptions.optimized(DEFAULT_TILES[name])
+    plain = compile_plan(instance.app.outputs, instance.values, options)
+    narrow = compile_plan(instance.app.outputs, instance.values,
+                          options.with_narrow(True))
+    if not narrow.narrowing:
+        assert generate_c(narrow) == generate_c(plain)
+        return
+    if not compiler_available():
+        pytest.skip("no C compiler")
+    _assert_native_identical(plain, narrow, instance.values,
+                             instance.inputs, f"narrow_{name}")

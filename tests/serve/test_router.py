@@ -170,6 +170,29 @@ def test_serve_processes_config(served):
         threaded.close()
 
 
+@pytest.mark.skipif(not compiler_available(), reason="no C compiler")
+def test_warm_store_cold_start_skips_compiler(served, tmp_path):
+    """A schedule store published by one build cold-starts every shard of
+    a read-only fleet: each dlopens the stored artifact with zero
+    compiler seconds and serves what a direct native call computes."""
+    cache_dir = str(tmp_path)
+    native = served.compiled.build(store="rw", cache_dir=cache_dir)
+    inputs = served.input_for(11)
+    ref = native(served.values, inputs)[served.out]
+    with ShardedService(served.compiled, workers=2, name="warm_t",
+                        build_kwargs={"store": "ro",
+                                      "cache_dir": cache_dir}) as service:
+        assert service.wait_ready(timeout=120) == "native"
+        with service.run(served.values, inputs, timeout=120) as frame:
+            assert frame.backend == "native"
+            assert np.array_equal(frame.outputs[served.out], ref)
+        provenance = service.build_provenance()
+    assert len(provenance) == 2, provenance
+    for shard in provenance.values():
+        assert shard["loaded_from_store"] is True, provenance
+        assert shard["compile_s"] == 0.0, provenance
+
+
 def test_autoscaler_grows_and_shrinks(served):
     from repro.serve import AutoscaleConfig
 
