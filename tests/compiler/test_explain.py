@@ -6,11 +6,13 @@ overlap cost.  Every paper application must produce a non-trivial
 decision log (the acceptance property of the observability layer).
 """
 
+import hashlib
 import re
 
 import pytest
 
 from repro import CompileOptions, compile_pipeline
+from repro.apps import ALL_APPS as PAPER_APPS
 from repro.bench.harness import DEFAULT_TILES, SMALL_BUILDERS
 
 ALL_APPS = sorted(SMALL_BUILDERS)
@@ -107,3 +109,40 @@ def test_summary_reports_tiles_and_halos(name):
     tiled = [gp for gp in compiled.plan.group_plans if gp.is_tiled]
     if tiled:
         assert re.search(r"\[tiled \d+(x\d+)*, halo ", text), text
+
+
+# -- pin: the full text at paper size ----------------------------------------
+
+#: sha256 of ``summary() + explain()`` per app at its paper-size estimates
+#: under ``CompileOptions.optimized``.  The text carries every grouping
+#: decision, tile shape, storage class and fast-path interior fraction,
+#: and does not depend on ``PYTHONHASHSEED``; a compiler refactor that
+#: claims to change no decision must leave every digest as it is.
+EXPLAIN_PIN = {
+    "bilateral":
+        "c5d0de19fd9306345ae3e1293db5f173834f5dddb3bc7a24029a4751861bb6d4",
+    "camera":
+        "98f8ec14e59aea4d1bcefaca04c4edda3e5ccc640d68cf29cf26d3e665b2ca31",
+    "harris":
+        "40a34a4528e32d72ed6f7f17957f2341f9795332820b5e900d61c5f73647b06f",
+    "interpolate":
+        "50fa3e0b66f288dc6ecc0df9059a8fce9f9ccb98e3203ce2f3c36d7732286965",
+    "iunsharp":
+        "a04ba6b3174fe7f65a2b4980229ece909b444b17ba8a6ebd42f5ba12cfc511d6",
+    "local_laplacian":
+        "af8a0e67864022ad24c504e97a6489d7c377685f09a927d4dbe1645e42796174",
+    "pyramid_blend":
+        "d46a994fe1e725360f49dbca44d46503750aaac400536922ce570a04331c2dbb",
+    "unsharp":
+        "4208e61840eb7fb78a07d1d1ecca1be770ae937358da77905c4190b9cb5790fa",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAPER_APPS))
+def test_summary_and_explain_match_pin(name):
+    app = PAPER_APPS[name]()
+    compiled = compile_pipeline(app.outputs, app.default_estimates,
+                                CompileOptions.optimized(DEFAULT_TILES[name]),
+                                name=name)
+    text = compiled.summary() + compiled.explain()
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPLAIN_PIN[name]
