@@ -9,9 +9,9 @@ scatter nest), the *interior* fast path:
 
 * **Clamp elimination** — for each clamped (non-affine) access, the
   value range of the index expression over the current loop bounds is
-  propagated symbolically (mirroring
-  :func:`repro.poly.interval.evaluate_expr`, but producing C expressions
-  over the tile-scope bound variables).  When the range is derivable,
+  propagated symbolically by :func:`repro.poly.interval.expr_range`
+  over :class:`CBounds`, whose endpoints are C expressions over the
+  tile-scope bound variables.  When the range is derivable,
   the containment test ``range ⊆ producer extent`` becomes a cheap
   runtime guard evaluated once per tile; tiles where it holds take a
   clamp-free nest, boundary tiles keep the safe clamped code.  An index
@@ -44,45 +44,25 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from repro.analysis.ranges import RangeAnalysis
 from repro.lang.constructs import Parameter, Variable
-from repro.lang.expr import (
-    BinOp, Call, Cast, Expr, Literal, Reference, Select, UnOp,
-)
+from repro.lang.expr import BinOp, Expr, Literal, Reference, walk
 from repro.lang.image import Image
 from repro.pipeline.ir import StageIR
 from repro.poly.affine import to_affine
-from repro.poly.interval import IntInterval, evaluate_expr
+from repro.poly.interval import IntInterval, evaluate_expr, expr_range
 
 
 # ---------------------------------------------------------------------------
 # Symbolic (C-expression) interval propagation
 # ---------------------------------------------------------------------------
 
-def _walk(expr: Expr):
-    """Pre-order traversal of an expression tree (conditions included)."""
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(node.children())
-
-
 _INT_LITERAL = re.compile(r"(-?\d+)L")
 
 
 def _literal(c: str) -> int | None:
-    """The value of a C integer literal as :func:`c_range` spells it."""
+    """The value of a C integer literal as :class:`CBounds` spells it."""
     m = _INT_LITERAL.fullmatch(c)
     return int(m.group(1)) if m else None
-
-
-def _literal_range(rng: tuple[str, str] | None) -> IntInterval | None:
-    """A :func:`c_range` result when both its bounds are literals."""
-    if rng is None:
-        return None
-    lo, hi = _literal(rng[0]), _literal(rng[1])
-    return None if lo is None or hi is None else IntInterval(lo, hi)
 
 
 def _c_add(a: str, b: str, op: str) -> str:
@@ -93,6 +73,26 @@ def _c_add(a: str, b: str, op: str) -> str:
     return f"({a}) {op} ({b})"
 
 
+class CBounds:
+    """Interval endpoints as C expressions: the C-string bound type of
+    :func:`repro.poly.interval.expr_range` (see
+    :class:`~repro.poly.interval.IntBounds`).  Sums of literals fold, so
+    ``zi + 1`` over a constant ``zi`` stays a literal.  The product of
+    two non-literal ranges and division by a negative literal have no
+    spelling here."""
+
+    negative_divisors = False
+    const = staticmethod(lambda v: f"{v}L")
+    neg = staticmethod(lambda a: f"(-({a}))")
+    add = staticmethod(lambda a, b: _c_add(a, b, "+"))
+    sub = staticmethod(lambda a, b: _c_add(a, b, "-"))
+    scale = staticmethod(lambda c, a: f"{c}L*({a})")
+    fdiv = staticmethod(lambda a, m: f"fdiv({a}, {m}L)")
+    min = staticmethod(lambda a, b: f"imin({a}, {b})")
+    max = staticmethod(lambda a, b: f"imax({a}, {b})")
+    product = staticmethod(lambda left, right: None)
+
+
 def c_range(expr: Expr, gen, var_bounds: dict[int, tuple[str, str]]
             ) -> tuple[str, str] | None:
     """C expressions for the (lo, hi) value range of ``expr``.
@@ -100,87 +100,15 @@ def c_range(expr: Expr, gen, var_bounds: dict[int, tuple[str, str]]
     ``var_bounds`` maps ``id(Variable)`` to the names of the C variables
     holding that loop's inclusive bounds; ``gen`` supplies parameter
     naming.  Returns ``None`` when the expression leaves the supported
-    fragment — the caller then keeps the safe code for it.  The string
-    semantics mirror :func:`repro.poly.interval.evaluate_expr` exactly,
-    plus integer casts of NaN-free float ranges, which come out as
-    literals (constant sums fold, so ``zi + 1`` stays a literal too).
+    fragment — the caller then keeps the safe code for it.
     """
-    if isinstance(expr, Literal):
-        if isinstance(expr.value, bool) or not isinstance(expr.value, int):
-            return None
-        return f"{expr.value}L", f"{expr.value}L"
-    if isinstance(expr, Variable):
-        return var_bounds.get(id(expr))
-    if isinstance(expr, Parameter):
-        name = gen.param(expr)
+    def leaf(e):
+        if isinstance(e, Variable):
+            return var_bounds.get(id(e))
+        name = gen.param(e)
         return name, name
-    if isinstance(expr, UnOp):
-        r = c_range(expr.operand, gen, var_bounds)
-        if r is None:
-            return None
-        return f"(-({r[1]}))", f"(-({r[0]}))"
-    if isinstance(expr, Cast):
-        if expr.dtype.is_float:
-            return None
-        inner = c_range(expr.operand, gen, var_bounds)
-        if inner is not None:
-            return inner
-        # a float operand: a constant range, when it is proven NaN-free
-        r = RangeAnalysis.nan_free_range(expr)
-        if r is None:
-            return None
-        return f"{r.lo}L", f"{r.hi}L"
-    if isinstance(expr, BinOp):
-        left = c_range(expr.left, gen, var_bounds)
-        if left is None:
-            return None
-        if expr.op in ("//", "%"):
-            right = expr.right
-            if not (isinstance(right, Literal)
-                    and isinstance(right.value, int) and right.value > 0):
-                return None
-            if expr.op == "%":
-                return "0L", f"{right.value - 1}L"
-            m = right.value
-            return f"fdiv({left[0]}, {m}L)", f"fdiv({left[1]}, {m}L)"
-        right = c_range(expr.right, gen, var_bounds)
-        if right is None:
-            return None
-        if expr.op == "+":
-            return (_c_add(left[0], right[0], "+"),
-                    _c_add(left[1], right[1], "+"))
-        if expr.op == "-":
-            return (_c_add(left[0], right[1], "-"),
-                    _c_add(left[1], right[0], "-"))
-        if expr.op == "*":
-            # only multiplication by a literal keeps the bounds linear
-            for a, b in ((expr.left, right), (expr.right, left)):
-                if isinstance(a, Literal) and isinstance(a.value, int):
-                    c = a.value
-                    if c >= 0:
-                        return f"{c}L*({b[0]})", f"{c}L*({b[1]})"
-                    return f"{c}L*({b[1]})", f"{c}L*({b[0]})"
-            return None
-        return None
-    if isinstance(expr, Call):
-        if expr.name not in ("min", "max"):
-            return None
-        ranges = [c_range(a, gen, var_bounds) for a in expr.args]
-        if any(r is None for r in ranges) or not ranges:
-            return None
-        helper = "imin" if expr.name == "min" else "imax"
-        lo, hi = ranges[0]
-        for r in ranges[1:]:
-            lo = f"{helper}({lo}, {r[0]})"
-            hi = f"{helper}({hi}, {r[1]})"
-        return lo, hi
-    if isinstance(expr, Select):
-        t = c_range(expr.true_expr, gen, var_bounds)
-        f = c_range(expr.false_expr, gen, var_bounds)
-        if t is None or f is None:
-            return None
-        return f"imin({t[0]}, {f[0]})", f"imax({t[1]}, {f[1]})"
-    return None
+
+    return expr_range(expr, leaf, CBounds)
 
 
 # ---------------------------------------------------------------------------
@@ -254,42 +182,51 @@ def _prove_within(gen, plan: CasePlan, arg: Expr, producer, d: int,
     rng = c_range(arg, gen, var_bounds)
     if rng is None:
         return False
-    const = _literal_range(rng)
-    extent = const and _constant_extent(gen, producer, d)
+    lo, hi = _literal(rng[0]), _literal(rng[1])
+    extent = (lo is not None and hi is not None
+              and _constant_extent(gen, producer, d))
     if extent:
-        return extent.contains(const)
+        return extent.contains(IntInterval(lo, hi))
     lo_name, hi_name = gen._extent_names(producer, d)
     _add_cond(plan, f"({rng[0]}) >= {lo_name}")
     _add_cond(plan, f"({rng[1]}) <= {hi_name}")
     return True
 
 
+def _proof_sites(ir, exprs):
+    """The fast path's proof obligations in ``exprs``, in emission order:
+    ``(ref, d, index)`` for each clamped (non-affine) index of a
+    reference, ``(div, None, numerator)`` for each ``//``/``%`` by a
+    positive literal.  The C guards and the ``explain()`` replay both
+    walk exactly these."""
+    for expr in exprs:
+        for node in walk(expr):
+            if isinstance(node, Reference):
+                forms = ir.access_forms(node)
+                for d, arg in enumerate(node.args):
+                    if forms[d] is None:  # affine: already region-proven
+                        yield node, d, arg
+            elif (isinstance(node, BinOp) and node.op in ("//", "%")
+                  and isinstance(node.right, Literal)
+                  and isinstance(node.right.value, int)
+                  and node.right.value > 0):
+                yield node, None, node.left
+
+
 def _analyze(gen, exprs, var_bounds: dict[int, tuple[str, str]],
              plan: CasePlan) -> CasePlan:
     """Clamp and division proofs for every access/division in ``exprs``."""
-    for expr in exprs:
-        for node in _walk(expr):
-            if isinstance(node, Reference):
-                forms = gen.plan.ir.access_forms(node)
-                for d, arg in enumerate(node.args):
-                    if forms[d] is not None:
-                        continue  # affine: already clamp-free, region-proven
-                    plan.n_clamped_dims += 1
-                    if _prove_within(gen, plan, arg, node.function, d,
-                                     var_bounds):
-                        plan.drop_clamps.add((id(node), d))
-            elif isinstance(node, BinOp) and node.op in ("//", "%"):
-                right = node.right
-                if not (isinstance(right, Literal)
-                        and isinstance(right.value, int)
-                        and right.value > 0):
-                    continue
-                plan.n_divs += 1
-                rng = c_range(node.left, gen, var_bounds)
-                if rng is None:
-                    continue
-                plan.reduce_divs.add(id(node))
-                _add_cond(plan, f"({rng[0]}) >= 0L")
+    for node, d, arg in _proof_sites(gen.plan.ir, exprs):
+        if d is not None:
+            plan.n_clamped_dims += 1
+            if _prove_within(gen, plan, arg, node.function, d, var_bounds):
+                plan.drop_clamps.add((id(node), d))
+            continue
+        plan.n_divs += 1
+        rng = c_range(arg, gen, var_bounds)
+        if rng is not None:
+            plan.reduce_divs.add(id(node))
+            _add_cond(plan, f"({rng[0]}) >= 0L")
     return plan
 
 
@@ -337,7 +274,7 @@ def simd_safe(stage_ir: StageIR, case) -> bool:
     if stage_ir.ndim < 1:
         return False
     target = stage_ir.stage
-    for node in _walk(case.expression):
+    for node in walk(case.expression):
         if isinstance(node, Reference) and node.function is target:
             return False
     return True
@@ -373,7 +310,7 @@ class FastBody:
         if self.innermost_id is None:
             return False
         return not any(isinstance(n, Reference) or id(n) == self.innermost_id
-                       for n in _walk(arg))
+                       for n in walk(arg))
 
     def offset(self, expr: str) -> str:
         name = self._offsets.get(expr)
@@ -480,10 +417,11 @@ def _interior_fraction(plan, stage_ir: StageIR, env: dict) -> float | None:
     """Fraction of the stage's fast-path proofs that hold over the whole
     domain under ``env``.
 
-    Replays the clamp-containment and non-negativity proofs concretely
-    with :func:`repro.poly.interval.evaluate_expr` over the concretized
-    domain: conservative (a failed concrete proof counts as boundary),
-    and exactly 1.0 when every guard holds over the whole domain.
+    Replays the guards' proof sites with the same
+    :func:`repro.poly.interval.expr_range` rules, over int bounds of the
+    concretized domain: conservative (a failed concrete proof counts as
+    boundary), and exactly 1.0 when every guard holds over the whole
+    domain.
     """
     box = stage_ir.domain.concretize(env)
     if box is None:
@@ -491,36 +429,21 @@ def _interior_fraction(plan, stage_ir: StageIR, env: dict) -> float | None:
     var_env: dict = dict(env)
     for var, ivl in zip(stage_ir.variables, box):
         var_env[var] = ivl
-    total = ok = 0
-    for case in stage_ir.cases:
-        for node in _walk(case.expression):
-            if isinstance(node, Reference):
-                forms = plan.ir.access_forms(node)
-                for d, arg in enumerate(node.args):
-                    if forms[d] is not None:
-                        continue
-                    total += 1
-                    # NaN-free casts of pixel values: constant ranges
-                    rng = evaluate_expr(arg, var_env) or _literal_range(
-                        c_range(arg, _NullNamer(plan), {}))
-                    dom = _producer_box(plan, node.function, env)
-                    if rng is None or dom is None:
-                        continue
-                    if dom[d].contains(rng):
-                        ok += 1
-            elif isinstance(node, BinOp) and node.op in ("//", "%"):
-                right = node.right
-                if not (isinstance(right, Literal)
-                        and isinstance(right.value, int)
-                        and right.value > 0):
-                    continue
-                total += 1
-                rng = evaluate_expr(node.left, var_env)
-                if rng is not None and rng.lo >= 0:
-                    ok += 1
-    if total == 0:
+    sites = list(_proof_sites(plan.ir,
+                              [case.expression for case in stage_ir.cases]))
+    if not sites:
         return 1.0
-    return ok / total
+    ok = 0
+    for node, d, arg in sites:
+        rng = evaluate_expr(arg, var_env)
+        if rng is None:
+            continue
+        if d is None:
+            ok += rng.lo >= 0
+        else:
+            dom = _producer_box(plan, node.function, env)
+            ok += dom is not None and dom[d].contains(rng)
+    return ok / len(sites)
 
 
 def specialization_report(plan) -> list[StageFastInfo]:

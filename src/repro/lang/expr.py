@@ -112,14 +112,18 @@ class Expr:
         """Direct sub-expressions of this node."""
         return ()
 
+    def rebuild(self, fn: Callable[["Expr"], "Expr"]) -> "Expr":
+        """A new node of this kind whose direct value sub-expressions
+        (a ``Select``'s condition operands included) are ``fn`` of the
+        old ones; a leaf returns itself.  Every tree rewrite is built
+        on this one structural copy."""
+        return self
+
     def substitute(self, mapping: dict["Expr", "Expr"]) -> "Expr":
         """Return a copy with occurrences of keys replaced by values."""
-        if self in mapping:
-            return mapping[self]
-        return self._rebuild(mapping)
-
-    def _rebuild(self, mapping: dict["Expr", "Expr"]) -> "Expr":
-        return self
+        def sub(e: Expr) -> Expr:
+            return mapping[e] if e in mapping else e.rebuild(sub)
+        return sub(self)
 
 
 class Literal(Expr):
@@ -153,9 +157,8 @@ class BinOp(Expr):
     def children(self):
         return (self.left, self.right)
 
-    def _rebuild(self, mapping):
-        return BinOp(self.op, self.left.substitute(mapping),
-                     self.right.substitute(mapping))
+    def rebuild(self, fn):
+        return BinOp(self.op, fn(self.left), fn(self.right))
 
     def __repr__(self) -> str:
         return f"({self.left!r} {self.op} {self.right!r})"
@@ -175,8 +178,8 @@ class UnOp(Expr):
     def children(self):
         return (self.operand,)
 
-    def _rebuild(self, mapping):
-        return UnOp(self.op, self.operand.substitute(mapping))
+    def rebuild(self, fn):
+        return UnOp(self.op, fn(self.operand))
 
     def __repr__(self) -> str:
         return f"(-{self.operand!r})"
@@ -196,8 +199,8 @@ class Call(Expr):
     def children(self):
         return self.args
 
-    def _rebuild(self, mapping):
-        return Call(self.name, [a.substitute(mapping) for a in self.args])
+    def rebuild(self, fn):
+        return Call(self.name, [fn(a) for a in self.args])
 
     def __repr__(self) -> str:
         return f"{self.name}({', '.join(map(repr, self.args))})"
@@ -217,8 +220,8 @@ class Cast(Expr):
     def children(self):
         return (self.operand,)
 
-    def _rebuild(self, mapping):
-        return Cast(self.dtype, self.operand.substitute(mapping))
+    def rebuild(self, fn):
+        return Cast(self.dtype, fn(self.operand))
 
     def __repr__(self) -> str:
         return f"Cast({self.dtype}, {self.operand!r})"
@@ -240,10 +243,9 @@ class Select(Expr):
         return (self.true_expr, self.false_expr) + tuple(
             self.condition.value_children())
 
-    def _rebuild(self, mapping):
-        return Select(self.condition.substitute(mapping),
-                      self.true_expr.substitute(mapping),
-                      self.false_expr.substitute(mapping))
+    def rebuild(self, fn):
+        return Select(self.condition.rebuild(fn), fn(self.true_expr),
+                      fn(self.false_expr))
 
     def __repr__(self) -> str:
         return (f"Select({self.condition!r}, {self.true_expr!r}, "
@@ -262,8 +264,8 @@ class Reference(Expr):
     def children(self):
         return self.args
 
-    def _rebuild(self, mapping):
-        return Reference(self.function, [a.substitute(mapping) for a in self.args])
+    def rebuild(self, fn):
+        return Reference(self.function, [fn(a) for a in self.args])
 
     def __repr__(self) -> str:
         return f"{self.function.name}({', '.join(map(repr, self.args))})"
@@ -295,8 +297,13 @@ class BoolExpr:
         """All value expressions referenced inside this condition."""
         return ()
 
-    def substitute(self, mapping: dict[Expr, Expr]) -> "BoolExpr":
+    def rebuild(self, fn: Callable[[Expr], Expr]) -> "BoolExpr":
+        """A copy of this condition tree with ``fn`` applied to each
+        comparison operand (see :meth:`Expr.rebuild`)."""
         return self
+
+    def substitute(self, mapping: dict[Expr, Expr]) -> "BoolExpr":
+        return self.rebuild(lambda e: e.substitute(mapping))
 
     def conjuncts(self) -> Iterator["BoolExpr"]:
         """Iterate over top-level AND-ed terms (self if not a conjunction)."""
@@ -322,9 +329,8 @@ class Condition(BoolExpr):
     def value_children(self):
         return (self.lhs, self.rhs)
 
-    def substitute(self, mapping):
-        return Condition(self.lhs.substitute(mapping), self.op,
-                         self.rhs.substitute(mapping))
+    def rebuild(self, fn):
+        return Condition(fn(self.lhs), self.op, fn(self.rhs))
 
     def __repr__(self) -> str:
         return f"({self.lhs!r} {self.op} {self.rhs!r})"
@@ -343,9 +349,8 @@ class CondAnd(BoolExpr):
         return tuple(self.left.value_children()) + tuple(
             self.right.value_children())
 
-    def substitute(self, mapping):
-        return CondAnd(self.left.substitute(mapping),
-                       self.right.substitute(mapping))
+    def rebuild(self, fn):
+        return CondAnd(self.left.rebuild(fn), self.right.rebuild(fn))
 
     def conjuncts(self):
         yield from self.left.conjuncts()
@@ -368,9 +373,8 @@ class CondOr(BoolExpr):
         return tuple(self.left.value_children()) + tuple(
             self.right.value_children())
 
-    def substitute(self, mapping):
-        return CondOr(self.left.substitute(mapping),
-                      self.right.substitute(mapping))
+    def rebuild(self, fn):
+        return CondOr(self.left.rebuild(fn), self.right.rebuild(fn))
 
     def __repr__(self) -> str:
         return f"({self.left!r} | {self.right!r})"
@@ -387,8 +391,8 @@ class CondNot(BoolExpr):
     def value_children(self):
         return tuple(self.operand.value_children())
 
-    def substitute(self, mapping):
-        return CondNot(self.operand.substitute(mapping))
+    def rebuild(self, fn):
+        return CondNot(self.operand.rebuild(fn))
 
     def __repr__(self) -> str:
         return f"(~{self.operand!r})"

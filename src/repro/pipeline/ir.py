@@ -14,12 +14,10 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from repro.lang.constructs import Case, Parameter, Variable
-from repro.lang.expr import (
-    BoolExpr, Expr, Reference, TrueCond, condition_references, references,
-)
+from repro.lang.expr import BoolExpr, Expr, Reference
 from repro.lang.function import Accumulate, Accumulator, Function
 from repro.lang.image import Image
-from repro.pipeline.graph import PipelineGraph, Stage
+from repro.pipeline.graph import PipelineGraph, Stage, stage_references
 from repro.poly.affine import AccessForm, analyze_access
 from repro.poly.interval import IntInterval, evaluate_access
 from repro.poly.iset import ParametricBox, SplitCondition, split_condition
@@ -193,27 +191,6 @@ def _summarize_edge(consumer_ir: StageIR, producer: Stage) -> EdgeSummary:
                        tuple(hulls), tuple(const_taps))
 
 
-def _collect_accesses(stage: Stage) -> tuple[AccessInfo, ...]:
-    refs: list[Reference] = []
-    if isinstance(stage, Accumulator):
-        body = stage.defn
-        for arg in body.target.args:
-            refs.extend(references(arg))
-        refs.extend(references(body.value))
-        # The target itself is an access only through its argument
-        # references (collected above); the accumulator's own cells are
-        # written, not read.
-    else:
-        for case in stage.defn:
-            refs.extend(condition_references(case.condition))
-            refs.extend(references(case.expression))
-    infos = []
-    for ref in refs:
-        forms = tuple(analyze_access(arg) for arg in ref.args)
-        infos.append(AccessInfo(ref, ref.function, forms))
-    return tuple(infos)
-
-
 def lower_stage(stage: Stage, graph: PipelineGraph) -> StageIR:
     """Lower one DSL stage into its IR form."""
     domain = ParametricBox.from_intervals(stage.variables, stage.intervals)
@@ -233,7 +210,12 @@ def lower_stage(stage: Stage, graph: PipelineGraph) -> StageIR:
         stage=stage,
         domain=domain,
         cases=tuple(cases),
-        accesses=_collect_accesses(stage),
+        # an accumulator's target is an access only through its argument
+        # references: its own cells are written, not read
+        accesses=tuple(
+            AccessInfo(ref, ref.function,
+                       tuple(analyze_access(arg) for arg in ref.args))
+            for ref in stage_references(stage)),
         level=graph.level(stage),
         is_output=graph.is_output(stage),
         is_self_referential=stage in graph.self_referential,

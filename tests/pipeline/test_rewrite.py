@@ -1,4 +1,5 @@
-"""Unit tests for the expression/condition rewriters used by inlining."""
+"""Unit tests for the expression/condition rewriting used by inlining:
+``rewrite_expr`` over values, ``BoolExpr.rebuild`` over conditions."""
 
 import pytest
 
@@ -9,7 +10,7 @@ from repro.lang import (
 from repro.lang.expr import (
     BinOp, Call, CondAnd, Literal, Reference, TrueCond, UnOp, references,
 )
-from repro.pipeline.inline import rewrite_condition, rewrite_expr
+from repro.pipeline.inline import rewrite_expr
 
 
 @pytest.fixture()
@@ -79,14 +80,14 @@ def test_rewrite_condition_recurses(env):
     def swap(ref):
         return Reference(J, ref.args) if ref.function is I else None
 
-    out = rewrite_condition(cond, swap)
+    out = cond.rebuild(lambda e: rewrite_expr(e, swap))
     assert isinstance(out, CondAnd)
     assert "J(" in repr(out) and "I(" not in repr(out)
 
 
 def test_rewrite_condition_true_passthrough():
     t = TrueCond()
-    assert rewrite_condition(t, lambda r: None) is t
+    assert t.rebuild(lambda e: rewrite_expr(e, lambda r: None)) is t
 
 
 def test_rewrite_literals_and_leaves(env):

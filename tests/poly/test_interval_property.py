@@ -8,8 +8,10 @@ inside the computed bounds.
 """
 
 import random
+import re
 from fractions import Fraction
 
+from repro.codegen.opt import c_range
 from repro.lang import Max, Min, Parameter, Variable
 from repro.lang.types import Int
 from repro.poly.interval import IntInterval, evaluate_expr
@@ -65,32 +67,39 @@ def test_scale_integer_hull_is_tight():
         assert lo - 1 < out.lo <= lo
 
 
+def _random_cases(rnd: random.Random):
+    """One trial's random expression trees over ``x``, ``y`` and ``P``,
+    each with its concrete Python evaluation, plus the bindings."""
+    x, y = Variable("x"), Variable("y")
+    P = Parameter(Int, "P")
+    a, b = rnd.randint(-5, 5), rnd.randint(-5, 5)
+    c = rnd.randint(-10, 10)
+    d = _nonzero(rnd, 6)
+    m = _nonzero(rnd, 9)
+    p = rnd.randint(-20, 20)
+    xr = IntInterval(rnd.randint(-20, 20), rnd.randint(21, 40))
+    yr = IntInterval(rnd.randint(-20, 20), rnd.randint(21, 40))
+
+    base = x * a + y * b + c + P
+    cases = [
+        (base, lambda vx, vy: vx * a + vy * b + c + p),
+        (base // d, lambda vx, vy: (vx * a + vy * b + c + p) // d),
+        (base % m, lambda vx, vy: (vx * a + vy * b + c + p) % m),
+        (Min(x * a, y * b) + Max(x, y),
+         lambda vx, vy: min(vx * a, vy * b) + max(vx, vy)),
+        (-(x * a) - y,
+         lambda vx, vy: -(vx * a) - vy),
+    ]
+    return (x, y, P), (xr, yr, p), cases
+
+
 def test_evaluate_expr_affine_floordiv_mod():
     """Random small expression trees: every concrete evaluation lands in
     the interval ``evaluate_expr`` derives."""
     rnd = random.Random(2024)
-    x, y = Variable("x"), Variable("y")
-    P = Parameter(Int, "P")
     for _ in range(TRIALS):
-        a, b = rnd.randint(-5, 5), rnd.randint(-5, 5)
-        c = rnd.randint(-10, 10)
-        d = _nonzero(rnd, 6)
-        m = _nonzero(rnd, 9)
-        p = rnd.randint(-20, 20)
-        xr = IntInterval(rnd.randint(-20, 20), rnd.randint(21, 40))
-        yr = IntInterval(rnd.randint(-20, 20), rnd.randint(21, 40))
+        (x, y, P), (xr, yr, p), cases = _random_cases(rnd)
         env = {x: xr, y: yr, P: p}
-
-        base = x * a + y * b + c + P
-        cases = [
-            (base, lambda vx, vy: vx * a + vy * b + c + p),
-            (base // d, lambda vx, vy: (vx * a + vy * b + c + p) // d),
-            (base % m, lambda vx, vy: (vx * a + vy * b + c + p) % m),
-            (Min(x * a, y * b) + Max(x, y),
-             lambda vx, vy: min(vx * a, vy * b) + max(vx, vy)),
-            (-(x * a) - y,
-             lambda vx, vy: -(vx * a) - vy),
-        ]
         samples = [(vx, vy)
                    for vx in (xr.lo, (xr.lo + xr.hi) // 2, xr.hi)
                    for vy in (yr.lo, (yr.lo + yr.hi) // 2, yr.hi)]
@@ -102,6 +111,45 @@ def test_evaluate_expr_affine_floordiv_mod():
             for vx, vy in samples:
                 got = concrete(vx, vy)
                 assert got in out, (expr, vx, vy, got, out)
+
+
+class _Namer:
+    @staticmethod
+    def param(p):
+        return p.name
+
+
+#: Python meanings of the C runtime helpers a ``c_range`` bound calls
+C_HELPERS = {"fdiv": lambda a, m: a // m, "pmod": lambda a, m: a % m,
+             "imin": min, "imax": max}
+
+
+def _eval_c(bound: str, names: dict) -> int:
+    """Evaluate a ``c_range`` bound string in Python (``5L`` -> ``5``)."""
+    return eval(re.sub(r"\b(\d+)L\b", r"\1", bound),
+                {"__builtins__": {}}, {**C_HELPERS, **names})
+
+
+def test_c_bounds_agree_with_int_bounds():
+    """The C-string bound type spells the int bound type's result: every
+    ``c_range`` bound, evaluated at the sampled loop bounds, equals the
+    ``evaluate_expr`` bound.  Only a negative divisor, which the C
+    helpers do not take, leaves the C side without a range."""
+    rnd = random.Random(2024)
+    for _ in range(TRIALS):
+        (x, y, P), (xr, yr, p), cases = _random_cases(rnd)
+        env = {x: xr, y: yr, P: p}
+        var_bounds = {id(x): ("x_lo", "x_hi"), id(y): ("y_lo", "y_hi")}
+        names = {"x_lo": xr.lo, "x_hi": xr.hi, "y_lo": yr.lo,
+                 "y_hi": yr.hi, "P": p}
+        for expr, _ in cases:
+            want = evaluate_expr(expr, env)
+            got = c_range(expr, _Namer, var_bounds)
+            if got is None:
+                assert expr.op in ("//", "%") and expr.right.value < 0, expr
+                continue
+            assert (_eval_c(got[0], names), _eval_c(got[1], names)) == \
+                (want.lo, want.hi), (expr, got)
 
 
 def test_evaluate_expr_rejects_zero_divisor_and_unbound():
