@@ -191,7 +191,9 @@ def _is_float_expr(expr: Expr) -> bool:
         return (_is_float_expr(expr.true_expr)
                 or _is_float_expr(expr.false_expr))
     if isinstance(expr, Call):
-        return True
+        # min/max keep their operands' type; every other builtin is libm
+        return expr.name not in ("min", "max") or any(
+            _is_float_expr(a) for a in expr.args)
     from repro.lang.expr import UnOp
     if isinstance(expr, UnOp):
         return _is_float_expr(expr.operand)

@@ -87,6 +87,10 @@ def test_expr_emission_division_types():
     assert "double" in gen.expr(x / 2, names)
     # float / float stays direct
     assert gen.expr((x * 1.0) / 2.0, names).count("double") == 0
+    # min/max of ints are ints: their quotient is floating too
+    assert gen.expr(Min(x, 3) / 2, names) == \
+        "((double)(imin(i0, 3)) / (double)(2))"
+    assert gen.expr(Min(x * 1.0, 3) / 2, names) == "(dmin((i0 * 1.0), 3) / 2)"
 
 
 def test_expr_emission_calls_and_select():

@@ -13,7 +13,8 @@ from repro.apps import harris as harris_app
 from repro.codegen.build import build_native, compiler_available
 from repro.lang import (
     Accumulate, Accumulator, Case, Cast, Condition, Float, Function, Image,
-    Int, Interval, Parameter, Select, Stencil, Sum, UChar, Variable,
+    Int, Interval, Max, Min, Parameter, Select, Stencil, Sum, UChar,
+    Variable,
 )
 
 pytestmark = pytest.mark.skipif(not compiler_available(),
@@ -151,6 +152,31 @@ def test_native_data_dependent_lut():
     compiled = compile_pipeline([f], values, name="nat_lut")
     interp, nat = both_backends(compiled, "nat_lut", values, {I: data})
     np.testing.assert_allclose(nat["f"], interp["f"], rtol=1e-5)
+
+
+@pytest.mark.parametrize("options,label", [
+    (CompileOptions.optimized((16,)), "opt"),
+    (CompileOptions.base(), "base"),
+])
+def test_native_true_division_of_integer_min_max(options, label):
+    """``/`` is true division even when both operands are integer
+    ``min``/``max`` calls: ``Min(x, 3) / 2`` is 1.5 at ``x = 3``, never
+    C's truncated ``1``."""
+    R = Parameter(Int, "R")
+    I = Image(Float, [R], name="I")
+    x = Variable("x")
+    f = Function(varDom=([x], [Interval(0, R - 1, 1)]), typ=Float, name="f")
+    f.defn = I(x) + Min(x, 3) / 2 + Max(x, 5) / 4
+    values = {R: 8}
+    data = RNG.random(8, dtype=np.float32)
+    compiled = compile_pipeline([f], values, options,
+                                name=f"nat_minmax_div_{label}")
+    interp, nat = both_backends(compiled, f"nat_minmax_div_{label}",
+                                values, {I: data})
+    xs = np.arange(8)
+    expected = data + np.minimum(xs, 3) / 2 + np.maximum(xs, 5) / 4
+    np.testing.assert_allclose(interp["f"], expected, rtol=1e-6)
+    np.testing.assert_allclose(nat["f"], interp["f"], rtol=1e-6)
 
 
 def test_native_different_sizes_same_binary():
