@@ -418,13 +418,14 @@ def autotune(outputs, estimates: Mapping, param_values: Mapping,
     report.elapsed_s = time.perf_counter() - start
 
     if store == "rw" and report.results:
+        from repro.codegen.build import build_flags
         from repro.schedule.store import StoredSchedule
         best = report.best(parallel=True)
         best_index = next(i for i, r in measured if r is best)
         info = infos.get(best_index)
         artifact = None
         if info is not None:
-            artifact = {"key": info.key, "vectorize": True,
+            artifact = {"key": info.key, "flags": list(build_flags()),
                         "instrument": profile and backend == "native"}
         sched_store.publish(StoredSchedule(
             pipeline=digest, fingerprint=fingerprint,

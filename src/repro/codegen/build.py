@@ -699,7 +699,7 @@ def _hints_dict(plan: PipelinePlan) -> dict | None:
 
 
 def _try_store_load(plan: PipelinePlan, name: str, *, entry,
-                    vectorize: bool, instrument: bool,
+                    flags: tuple[str, ...], instrument: bool,
                     cache: CompileCache) -> NativePipeline | None:
     """Load the stored artifact if it matches this plan's schedule and
     build configuration — the cold-start fast path: no ``generate_c``,
@@ -710,7 +710,7 @@ def _try_store_load(plan: PipelinePlan, name: str, *, entry,
         return None
     if (entry.hints or None) != (_hints_dict(plan) or None):
         return None
-    if bool(entry.artifact.get("vectorize", True)) != bool(vectorize):
+    if tuple(entry.artifact.get("flags", ())) != flags:
         return None
     if bool(entry.artifact.get("instrument", False)) != bool(instrument):
         return None
@@ -750,6 +750,7 @@ def build_native(plan: PipelinePlan, name: str = "pipeline",
     if store not in (None, "ro", "rw"):
         raise ValueError(f"store must be None, 'ro' or 'rw', got {store!r}")
     entry = None
+    flags = build_flags(vectorize=vectorize, extra_flags=extra_flags)
     if store is not None:
         from repro.schedule.store import (
             StoredSchedule, machine_fingerprint,
@@ -760,8 +761,7 @@ def build_native(plan: PipelinePlan, name: str = "pipeline",
         digest = _plan_store_key(plan)
         fingerprint = machine_fingerprint()
         entry = sched_store.lookup(digest, fingerprint)
-        native = _try_store_load(plan, name, entry=entry,
-                                 vectorize=vectorize,
+        native = _try_store_load(plan, name, entry=entry, flags=flags,
                                  instrument=instrument, cache=cache)
         if native is not None:
             return native
@@ -774,7 +774,7 @@ def build_native(plan: PipelinePlan, name: str = "pipeline",
             pipeline=digest, fingerprint=fingerprint,
             options=plan.options.to_dict(), hints=_hints_dict(plan),
             tune_result=entry.tune_result if entry is not None else None,
-            artifact={"key": info.key, "vectorize": bool(vectorize),
+            artifact={"key": info.key, "flags": list(flags),
                       "instrument": bool(instrument)},
             created=time.time()))
     return native

@@ -47,8 +47,11 @@ from repro.lang.function import Accumulator
 #: ``build_native(store=...)`` dlopens the referenced ``.so`` without
 #: regenerating its C.  2: artifacts are re-entrant (arena sets checked
 #: out per call) and are called without a lock; a version-1 artifact
-#: still indexes one global slot table and would race.
-STORE_VERSION = 2
+#: still indexes one global slot table and would race.  3: the artifact
+#: records its full compiler flag set, so a debug or sanitizer build is
+#: never loaded for a plain one (or the reverse); a version-2 entry
+#: cannot tell which flags built it.
+STORE_VERSION = 3
 #: subdirectory of the artifact cache root holding schedule entries
 STORE_SUBDIR = "schedules"
 
@@ -169,7 +172,7 @@ class StoredSchedule:
     options: dict
     hints: dict | None = None
     tune_result: dict | None = None
-    #: compile-cache artifact coordinates: ``{"key", "vectorize",
+    #: compile-cache artifact coordinates: ``{"key", "flags",
     #: "instrument"}`` — enough to re-open the published ``.so``
     artifact: dict | None = None
     created: float = 0.0

@@ -83,7 +83,7 @@ def test_stored_schedule_round_trip():
                    tune_result={"tile_sizes": [16, 16],
                                 "overlap_threshold": 0.4,
                                 "time_parallel_ms": 1.5},
-                   artifact={"key": "k", "vectorize": True,
+                   artifact={"key": "k", "flags": ["-O3"],
                              "instrument": False},
                    created=123.0)
     again = StoredSchedule.from_dict(entry.to_dict())
@@ -202,29 +202,62 @@ def test_build_native_store_round_trip(tmp_path):
         assert np.array_equal(got_cold[name], got_warm[name])
 
 
-@needs_cc
-def test_version_1_entry_is_never_loaded(tmp_path):
-    """A version-1 entry names an artifact built before arenas were
-    checked out per call; such a library would race when called without
-    the lock, so it must be rebuilt, never dlopened from the store."""
-    assert STORE_VERSION == 2
+def _assert_old_version_rebuilt(tmp_path, version: int) -> None:
+    assert STORE_VERSION == 3
     app, values, plan = _plan()
-    build_native(plan, "store_v1", cache_dir=tmp_path, store="rw")
+    build_native(plan, f"store_v{version}", cache_dir=tmp_path, store="rw")
     store = ScheduleStore(tmp_path / "schedules")
     [entry] = store.entries()
     assert entry.artifact is not None
     path = store.path_for(entry.pipeline, entry.fingerprint)
     doc = json.loads(path.read_text())
-    doc["version"] = 1  # same real artifact, old contract
+    doc["version"] = version  # same real artifact, old contract
     path.write_text(json.dumps(doc))
     assert store.lookup(entry.pipeline, entry.fingerprint) is None
 
     app2, values2, plan2 = _plan()
-    rebuilt = build_native(plan2, "store_v1", cache_dir=tmp_path,
+    rebuilt = build_native(plan2, f"store_v{version}", cache_dir=tmp_path,
                            store="ro")
     assert rebuilt.loaded_from_store is False
     inputs = app2.make_inputs(values2, np.random.default_rng(0))
     assert rebuilt(values2, inputs)
+
+
+@needs_cc
+def test_version_1_entry_is_never_loaded(tmp_path):
+    """A version-1 entry names an artifact built before arenas were
+    checked out per call; such a library would race when called without
+    the lock, so it must be rebuilt, never dlopened from the store."""
+    _assert_old_version_rebuilt(tmp_path, 1)
+
+
+@needs_cc
+def test_version_2_entry_is_never_loaded(tmp_path):
+    """A version-2 entry does not record the compiler flags its artifact
+    was built with, so it cannot be matched to a build; it must be
+    rebuilt, never dlopened from the store."""
+    _assert_old_version_rebuilt(tmp_path, 2)
+
+
+@needs_cc
+@pytest.mark.parametrize("published,requested", [
+    (("-O0",), ()),
+    ((), ("-O0",)),
+], ids=["extra-then-plain", "plain-then-extra"])
+def test_store_miss_on_extra_flags_mismatch(tmp_path, published, requested):
+    """An entry built with other compiler flags (a debug or sanitizer
+    build) is never loaded for a build that asks for different ones."""
+    app, values, plan = _plan()
+    build_native(plan, "flags_a", cache_dir=tmp_path, store="rw",
+                 extra_flags=published)
+    app2, values2, plan2 = _plan()
+    native = build_native(plan2, "flags_b", cache_dir=tmp_path, store="ro",
+                          extra_flags=requested)
+    assert native.loaded_from_store is False
+    app3, values3, plan3 = _plan()
+    fresh = build_native(plan3, "flags_c", cache_dir=tmp_path / "fresh",
+                         extra_flags=requested)
+    assert native.build_info.key == fresh.build_info.key
 
 
 @needs_cc
