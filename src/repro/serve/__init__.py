@@ -31,12 +31,12 @@ Prometheus text format.  See ``docs/internals.md`` §16–18.
 
 To scale past one process, :class:`ShardedService` serves the same
 ``submit()``/``Frame`` contract from a fleet of spawn-mode worker
-processes: pixel data moves through shared-memory slabs
-(:mod:`repro.serve.shm` — headers only on the command pipe), placement
-is least-outstanding-work with sticky coalescing, dead workers are
-respawned with their in-flight frames requeued-or-failed (never hung),
-and an optional :class:`AutoscaleConfig` grows/shrinks the fleet from
-queue-depth and p99 signals.  See ``docs/internals.md`` §20.
+processes, each running frames straight off its command pipe: pixels
+move through shared-memory slabs (:mod:`repro.serve.shm`), placement is
+least-outstanding-work, dead workers are respawned with their
+in-flight frames requeued-or-failed (never hung), and an optional
+:class:`AutoscaleConfig` grows/shrinks the fleet from queue-depth and
+p99 signals.  See ``docs/internals.md`` §20.
 
 Demo: ``python -m repro.serve --app harris`` (``--workers N`` for the
 process-sharded tier).

@@ -45,8 +45,9 @@ def main(argv=None) -> int:
                         help="worker processes; 0 = in-process thread "
                              "service (default)")
     parser.add_argument("--service-threads", type=int, default=2,
-                        help="consumer threads per service/shard "
-                             "(default 2)")
+                        help="consumer threads of the thread service "
+                             "(default 2; with --workers each worker "
+                             "process runs frames on one loop)")
     parser.add_argument("--threads", type=int, default=1,
                         help="execution threads per frame (default 1)")
     parser.add_argument("--deadline-ms", type=float, default=0.0,
@@ -87,9 +88,7 @@ def main(argv=None) -> int:
         service = ShardedService(
             compiled, workers=args.workers, max_queue=args.max_queue,
             backend=args.backend, default_deadline_s=deadline_s,
-            n_threads=args.threads,
-            inner_workers=args.service_threads,
-            build_kwargs=build_kwargs or None)
+            n_threads=args.threads, build_kwargs=build_kwargs or None)
     else:
         service = PipelineService(
             compiled, workers=args.service_threads,

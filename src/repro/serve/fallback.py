@@ -106,14 +106,6 @@ class FallbackPolicy:
         except Exception:  # noqa: BLE001 - observability must not wedge
             pass
 
-    def note_build_ready(self, native) -> None:
-        """The background build produced a loadable native pipeline."""
-        self.note_build_resolved(native, None)
-
-    def note_build_failed(self, exc: BaseException) -> None:
-        """The build (or the subsequent load) failed; go interpreter-only."""
-        self.note_build_resolved(None, exc)
-
     def note_native_error(self, exc: BaseException) -> bool:
         """A native call raised (without crashing the process).
 

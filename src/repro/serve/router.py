@@ -7,13 +7,12 @@ executes frames in a fleet of spawn-mode worker processes
 GIL.  The router owns:
 
 * **Admission** — a bounded count of in-flight frames across all
-  shards; past it, ``submit`` rejects with
-  :class:`~repro.serve.queue.Overloaded` (no hidden backlog).
-* **Placement** — least-outstanding-work across live shards, with a
-  *sticky* override: frames sharing a batch key (same parameter values,
-  same input shapes/dtypes) chase the shard the last such frame went
-  to, so the workers' coalescing windows still form under concurrent
-  same-shape load.
+  shards, checked in the same lock hold that registers the frame; past
+  it, ``submit`` rejects with :class:`~repro.serve.queue.Overloaded`
+  (no hidden backlog).
+* **Placement** — least-outstanding-work across live shards, so a
+  frame goes to whichever worker is idle; coalescing forms inside each
+  worker from the batchable frames already readable on its own pipe.
 * **Transport** — inputs are staged once into router-owned shared-
   memory slabs (zero-copy when the caller fills a
   :meth:`ShardedService.lease_input` array directly); outputs come back
@@ -61,12 +60,15 @@ from repro.observe.metrics import Histogram, LatencyWindow, MetricsRegistry
 from repro.serve.deadlines import Deadline, DeadlineExceeded
 from repro.serve.fallback import BUILDING, INTERPRETER, NATIVE
 from repro.serve.queue import Overloaded, ServiceClosed
-from repro.serve.service import STAGES, Frame, ServiceStats, _timeout_reason
+from repro.serve.service import (
+    STAGES, Frame, ServiceStats, _timeout_reason, check_backend,
+    stage_summaries,
+)
 from repro.serve.shm import (
     SegmentMap, ShmBufferPool, SlabAllocator, live_segments, new_token,
     unlink_segments,
 )
-from repro.serve.worker import DEFAULT_INNER_WORKERS, WorkerHandle
+from repro.serve.worker import WorkerHandle
 
 
 class WorkerCrashed(RuntimeError):
@@ -174,10 +176,7 @@ class ShardedService:
     ``max_queue``
         Total in-flight frames the router admits across all shards.
     ``shard_queue``
-        Per-shard backpressure bound (and each worker's inner queue
-        capacity); defaults to ``max_queue``.
-    ``inner_workers``
-        Consumer threads inside each worker's inner service.
+        Per-shard in-flight cap; defaults to ``max_queue``.
     ``max_retries``
         Requeue budget per frame after a worker death (default 1).
     ``autoscale``
@@ -194,7 +193,6 @@ class ShardedService:
                  vectorize: bool = True,
                  max_batch: int = 8,
                  coalesce: bool = True,
-                 inner_workers: int = DEFAULT_INNER_WORKERS,
                  shard_queue: int | None = None,
                  max_retries: int = 1,
                  autoscale: AutoscaleConfig | Mapping | None = None,
@@ -204,10 +202,7 @@ class ShardedService:
                  name: str | None = None):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if backend not in ("auto", "interpreter", "native"):
-            raise ValueError(
-                f"backend must be 'auto', 'interpreter' or 'native', "
-                f"got {backend!r}")
+        check_backend(backend)
         self.plan = compiled.plan
         self.name = name or getattr(compiled, "name", "pipeline")
         self.backend_mode = backend
@@ -222,15 +217,12 @@ class ShardedService:
         self._cfg = {
             "name": self.name, "token": self.token, "backend": backend,
             "n_threads": n_threads, "vectorize": vectorize,
-            "inner_workers": inner_workers,
-            "max_queue": shard_queue if shard_queue is not None
-            else max_queue,
             "max_batch": max_batch, "coalesce": coalesce,
             "build_kwargs": dict(build_kwargs or {}),
         }
         self._max_queue = max_queue
-        self._shard_queue = self._cfg["max_queue"]
-        self._sticky_limit = max(1, max_batch)
+        self._shard_queue = shard_queue if shard_queue is not None \
+            else max_queue
         self._max_retries = max_retries
         self._ctx = get_context("spawn")
 
@@ -257,7 +249,6 @@ class ShardedService:
             "scale_ups": 0, "scale_downs": 0,
         }
         self._timeout_reasons: dict[str, int] = {}
-        self._sticky: dict[tuple, int] = {}
         self._shards: dict[int, _Shard] = {}
         self._retired_stats: list[dict] = []
         self._metrics_server = None
@@ -389,20 +380,15 @@ class ShardedService:
         if pending is None:
             return
         pending.timeline.graft(marks, time.monotonic())
-        if kind == "overloaded" and self._maybe_requeue(pending):
-            # shard backpressure raced the router's view; another shard
-            # takes the frame and the client never notices
-            return
+        reason = kind
         if kind == "deadline":
-            exc: Exception = DeadlineExceeded(detail, 0.0)
-            reason = _timeout_reason(detail)
+            exc: Exception = DeadlineExceeded(*detail)
+            exc.timeline = pending.timeline
+            reason = _timeout_reason(exc.where)
             with self._lock:
                 self._counts["timeouts"] += 1
                 self._timeout_reasons[reason] = \
                     self._timeout_reasons.get(reason, 0) + 1
-        elif kind == "overloaded":
-            exc = Overloaded(detail)
-            self._count("failures")
         elif kind == "cancelled":
             exc = ServiceClosed(
                 f"shard {shard.index} dropped the frame: {detail}")
@@ -410,7 +396,7 @@ class ShardedService:
         else:
             exc = RuntimeError(f"shard {shard.index}: {detail}")
             self._count("failures")
-        pending.timeline.mark("dropped", reason=kind, shard=shard.index)
+        pending.timeline.mark("dropped", reason=reason, shard=shard.index)
         self._free_inputs(pending)
         if pending.future.set_running_or_notify_cancel():
             pending.future.set_exception(exc)
@@ -427,18 +413,12 @@ class ShardedService:
             orphans = list(shard.pending.values())
             shard.pending.clear()
             shard.segments.clear()
-            self._sticky = {key: idx for key, idx in
-                            self._sticky.items() if idx != shard.index}
             closing = self._closing
             graceful = shard.bye.is_set()
             if shard.last_stats is not None:
                 self._retired_stats.append(shard.last_stats)
                 shard.last_stats = None
-        handle.close_conn()
-        handle.join(timeout=5.0)
-        if handle.alive():
-            handle.kill()
-            handle.join(timeout=5.0)
+        handle.stop(timeout=5.0)
         # this generation can no longer unlink anything: reap its output
         # slabs by name prefix (router-owned input slabs are untouched;
         # already-mapped client views stay valid — unlink removes the
@@ -465,7 +445,7 @@ class ShardedService:
             if (not closing and pending.retries < self._max_retries
                     and alive_deadline):
                 pending.retries += 1
-                if self._dispatch(pending, sticky_key=None):
+                if self._dispatch(pending):
                     self._count("requeued")
                     pending.timeline.mark("requeued",
                                           from_shard=shard.index)
@@ -481,49 +461,45 @@ class ShardedService:
                 self._count("cancelled")
 
     # -- placement ---------------------------------------------------------
-    @staticmethod
-    def _batch_key(params: dict, headers: dict) -> tuple:
-        return (tuple(sorted(params.items())),
-                tuple(sorted((name, header[3], header[4])
-                             for name, header in headers.items())))
+    def _live(self) -> list[_Shard]:
+        """Shards that take new frames (lock held)."""
+        return [s for s in self._shards.values()
+                if s.alive and not s.draining]
 
-    def _place(self, sticky_key, exclude: set) -> "_Shard | None":
-        """Pick a shard (lock held): sticky first, else least loaded.
+    def _outstanding(self) -> int:
+        """Frames in flight across every shard (lock held)."""
+        return sum(len(s.pending) for s in self._shards.values())
 
-        Stickiness is soft: it routes compatible frames to the same
-        shard only while that shard's backlog is below the coalescing
-        window (``max_batch``), so a uniform workload still spreads
-        across the fleet once one worker has enough queued to batch —
-        hard stickiness would collapse every identical frame onto a
-        single shard and forfeit scaling entirely.
+    def _place(self, exclude: set) -> "_Shard | None":
+        """Pick the least-loaded live shard (lock held).
+
+        Replicating work across idle shards cuts the period; funnelling
+        compatible frames into one shard to feed its batch coalescer
+        would leave the others idle.  Batches still form inside each
+        worker whenever its own pipe holds several batchable frames.
         """
-        candidates = [s for s in self._shards.values()
-                      if s.alive and not s.draining
-                      and s.index not in exclude
+        candidates = [s for s in self._live()
+                      if s.index not in exclude
                       and len(s.pending) < self._shard_queue]
         if not candidates:
             return None
-        if sticky_key is not None:
-            index = self._sticky.get(sticky_key)
-            for shard in candidates:
-                if shard.index == index \
-                        and len(shard.pending) < self._sticky_limit:
-                    return shard
-        best = min(candidates, key=lambda s: (len(s.pending), s.index))
-        if sticky_key is not None:
-            if len(self._sticky) > 512:
-                self._sticky.clear()
-            self._sticky[sticky_key] = best.index
-        return best
+        return min(candidates, key=lambda s: (len(s.pending), s.index))
 
-    def _dispatch(self, pending: _Pending, sticky_key) -> bool:
+    def _dispatch(self, pending: _Pending, admit: bool = False) -> bool:
         """Register + send one frame; retries across shards if a pipe
         turns out to be dead at send time.  False = nobody could take
-        it."""
+        it.  ``admit`` enforces the router-wide ``max_queue`` bound in
+        the same lock hold that registers the frame, so concurrent
+        submitters cannot overshoot it (raises :class:`Overloaded`)."""
         exclude: set[int] = set()
         while True:
             with self._lock:
-                shard = self._place(sticky_key, exclude)
+                if admit:
+                    outstanding = self._outstanding()
+                    if outstanding >= self._max_queue:
+                        raise Overloaded(f"router backlog {outstanding} "
+                                         f">= {self._max_queue}")
+                shard = self._place(exclude)
                 if shard is None:
                     return False
                 pending.shard = shard.index
@@ -564,14 +540,6 @@ class ShardedService:
                 deadline = Deadline.after(seconds)
         rid = next(self._rid)
         timeline = Timeline(rid, self._events)
-        with self._lock:
-            outstanding = sum(len(s.pending)
-                              for s in self._shards.values())
-        if outstanding >= self._max_queue:
-            self._count("rejected")
-            timeline.mark("rejected", reason="overloaded")
-            raise Overloaded(
-                f"router backlog {outstanding} >= {self._max_queue}")
         params = {getattr(p, "name", p): int(v)
                   for p, v in param_values.items()}
         headers: dict[str, tuple] = {}
@@ -592,12 +560,14 @@ class ShardedService:
         pending = _Pending(rid, Future(), params, headers, leases,
                            deadline, timeline)
         timeline.mark("submitted")
-        if not self._dispatch(pending,
-                              self._batch_key(params, headers)):
+        try:
+            if not self._dispatch(pending, admit=True):
+                raise Overloaded("no shard can accept the frame")
+        except Overloaded:
             self._free_inputs(pending)
             self._count("rejected")
-            timeline.mark("rejected", reason="no_shard")
-            raise Overloaded("no shard can accept the frame")
+            timeline.mark("rejected", reason="overloaded")
+            raise
         self._count("submitted")
         return pending.future
 
@@ -607,19 +577,6 @@ class ShardedService:
         """Blocking convenience: ``submit`` + ``result``."""
         return self.submit(param_values, inputs,
                            deadline_s=deadline_s).result(timeout)
-
-    def _maybe_requeue(self, pending: _Pending) -> bool:
-        """Second chance on a different shard (retry budget allowing)."""
-        if pending.retries >= self._max_retries or self._closing:
-            return False
-        if pending.deadline is not None and pending.deadline.expired():
-            return False
-        pending.retries += 1
-        if self._dispatch(pending, sticky_key=None):
-            self._count("requeued")
-            pending.timeline.mark("requeued")
-            return True
-        return False
 
     def _free_inputs(self, pending: _Pending) -> None:
         for lease in pending.leases:
@@ -635,8 +592,7 @@ class ShardedService:
             if self._closing:
                 return
             with self._lock:
-                live = [s for s in self._shards.values()
-                        if s.alive and not s.draining]
+                live = self._live()
                 outstanding = sum(len(s.pending) for s in live)
                 n = len(live)
             if n == 0:
@@ -652,8 +608,9 @@ class ShardedService:
                 above = 0
                 with self._lock:
                     index = max(self._shards) + 1 if self._shards else 0
-                self._spawn_shard(index)
+                # counted first: whoever sees the new shard sees the count
                 self._count("scale_ups")
+                self._spawn_shard(index)
                 self._events.append(
                     "autoscale", None, action="up", workers=n + 1,
                     per_shard=round(per_shard, 2), p99_ms=round(p99, 2))
@@ -665,9 +622,9 @@ class ShardedService:
                         continue
                     victim = max(idle, key=lambda s: s.index)
                     victim.draining = True
+                    self._count("scale_downs")
                     handle = victim.handle
                 handle.send(("close", True))
-                self._count("scale_downs")
                 self._events.append(
                     "autoscale", None, action="down", workers=n - 1,
                     shard=victim.index)
@@ -677,16 +634,14 @@ class ShardedService:
     def workers(self) -> int:
         """Live (non-draining) shard count right now."""
         with self._lock:
-            return sum(1 for s in self._shards.values()
-                       if s.alive and not s.draining)
+            return len(self._live())
 
     @property
     def backend(self) -> str:
         """Fleet backend state, collapsed: the common state when all
         live shards agree, ``"mixed"`` otherwise."""
         with self._lock:
-            states = {s.backend for s in self._shards.values()
-                      if s.alive and not s.draining}
+            states = {s.backend for s in self._live()}
         if not states:
             return INTERPRETER
         return states.pop() if len(states) == 1 else "mixed"
@@ -697,9 +652,8 @@ class ShardedService:
         expiry = None if timeout is None else time.monotonic() + timeout
         while True:
             with self._lock:
-                building = any(
-                    s.backend == BUILDING for s in self._shards.values()
-                    if s.alive and not s.draining)
+                building = any(s.backend == BUILDING
+                               for s in self._live())
             if not building:
                 return self.backend
             if expiry is not None and time.monotonic() >= expiry:
@@ -779,8 +733,7 @@ class ShardedService:
             payloads += list(self._retired_stats)
             counts = dict(self._counts)
             reasons = dict(self._timeout_reasons)
-            inflight = sum(len(s.pending)
-                           for s in self._shards.values())
+            inflight = self._outstanding()
         worker_stats = [ServiceStats.from_dict(p["stats"])
                         for p in payloads]
         fallbacks: dict[str, int] = {}
@@ -796,29 +749,13 @@ class ShardedService:
                 pool[key] += ws.pool.get(key, 0)
         attempts = pool["hits"] + pool["misses"]
         pool["hit_rate"] = pool["hits"] / attempts if attempts else 0.0
-        stages = {}
-        for stage in STAGES:
-            merged: Histogram | None = None
-            for payload in payloads:
-                data = payload.get("metrics", {}).get(
-                    "histograms", {}).get(f"{stage}_seconds")
-                if data is None:
-                    continue
-                incoming = Histogram.from_dict(data)
-                if merged is None:
-                    merged = incoming
-                else:
-                    merged.merge(incoming)
-            summary = merged.summary() if merged is not None else {
-                "count": 0, "mean": 0.0, "p50": 0.0, "p90": 0.0,
-                "p99": 0.0}
-            stages[stage] = {
-                "count": summary["count"],
-                "mean_ms": summary["mean"] * 1000.0,
-                "p50_ms": summary["p50"] * 1000.0,
-                "p90_ms": summary["p90"] * 1000.0,
-                "p99_ms": summary["p99"] * 1000.0,
-            }
+        hists = {stage: Histogram() for stage in STAGES}
+        for payload in payloads:
+            shipped = payload.get("metrics", {}).get("histograms", {})
+            for stage, hist in hists.items():
+                if f"{stage}_seconds" in shipped:
+                    hist.merge(Histogram.from_dict(
+                        shipped[f"{stage}_seconds"]))
         return ServiceStats(
             name=self.name,
             backend=self.backend,
@@ -838,7 +775,7 @@ class ShardedService:
             pool=pool,
             latency=self._latency.snapshot(),
             timeouts_by_reason=reasons,
-            stages=stages,
+            stages=stage_summaries(hists),
         )
 
     def transport(self) -> dict:
@@ -865,13 +802,15 @@ class ShardedService:
             "scale_downs": counts["scale_downs"],
         }
 
-    def _router_snapshot(self) -> dict:
-        """Router-level registry snapshot for the exposition."""
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """The router's own :class:`MetricsRegistry` (client-facing
+        counters, timeouts by reason, fleet gauges), refreshed on
+        access; the workers' registries are in :meth:`serve_metrics`."""
         with self._lock:
             counts = dict(self._counts)
             reasons = dict(self._timeout_reasons)
-            inflight = sum(len(s.pending)
-                           for s in self._shards.values())
+            inflight = self._outstanding()
         for key, value in counts.items():
             self._metrics.set_counter(key, value)
         for reason, value in reasons.items():
@@ -880,7 +819,7 @@ class ShardedService:
         self._metrics.gauge("inflight", float(inflight))
         self._metrics.gauge("attached_segments",
                             float(len(self.segment_map.names())))
-        return self._metrics.as_dict()
+        return self._metrics
 
     def serve_metrics(self, port: int = 0, host: str = "127.0.0.1"):
         """One Prometheus endpoint for the whole router: router-level
@@ -898,7 +837,7 @@ class ShardedService:
                 shards = {str(index): payload.get("metrics", {})
                           for index, payload in sorted(
                               self._collect_worker_stats().items())}
-                text = render_exposition(self._router_snapshot(),
+                text = render_exposition(self.metrics.as_dict(),
                                          prefix="repro_serve_router_")
                 text += render_sharded_exposition(
                     shards, prefix="repro_serve_", label="shard")
@@ -910,7 +849,8 @@ class ShardedService:
 
     # -- flow control ------------------------------------------------------
     def pause(self) -> None:
-        """Pause every shard's inner service (frames keep queueing)."""
+        """Pause every shard (frames keep arriving and park in each
+        worker until :meth:`resume`)."""
         self._broadcast(("pause",))
 
     def resume(self) -> None:
@@ -964,17 +904,8 @@ class ShardedService:
                 shard.handle.send(("close", drain))
         expiry = time.monotonic() + timeout
         for shard in shards:
-            handle = shard.handle
-            if handle is None:
-                continue
-            handle.join(max(0.1, expiry - time.monotonic()))
-            if handle.alive():
-                handle.terminate()
-                handle.join(2.0)
-            if handle.alive():
-                handle.kill()
-                handle.join(2.0)
-            handle.close_conn()
+            if shard.handle is not None:
+                shard.handle.stop(max(0.1, expiry - time.monotonic()))
         for shard in shards:
             if shard.receiver is not None:
                 shard.receiver.join(timeout=5.0)

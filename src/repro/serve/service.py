@@ -61,7 +61,7 @@ import numpy as np
 
 from repro.codegen import build as _build
 from repro.observe.events import EventLog, Timeline
-from repro.observe.metrics import LatencyWindow, MetricsRegistry
+from repro.observe.metrics import Histogram, LatencyWindow, MetricsRegistry
 from repro.observe.trace import Tracer, get_tracer
 from repro.runtime.buffers import BufferPool
 from repro.runtime.executor import execute_plan
@@ -75,6 +75,12 @@ from repro.serve.queue import (
 
 #: lifecycle stages recorded as service histograms (seconds)
 STAGES = ("queue_wait", "batch_wait", "execute", "total")
+
+
+def check_backend(backend: str) -> None:
+    if backend not in ("auto", "interpreter", "native"):
+        raise ValueError(f"backend must be 'auto', 'interpreter' or "
+                         f"'native', got {backend!r}")
 
 
 def _timeout_reason(where: str) -> str:
@@ -93,6 +99,18 @@ def _timeout_reason(where: str) -> str:
     if where in ("queue wait", "before native call"):
         return "queue_wait"
     return "in_execution"
+
+
+def stage_summaries(hists: Mapping[str, Histogram]) -> dict:
+    """``ServiceStats.stages``: count and mean/p50/p90/p99 in ms of each
+    :data:`STAGES` histogram (``hists`` is keyed by stage)."""
+    stages = {}
+    for stage in STAGES:
+        summary = hists[stage].summary()
+        stages[stage] = {"count": summary["count"]} | {
+            f"{key}_ms": summary[key] * 1000.0
+            for key in ("mean", "p50", "p90", "p99")}
+    return stages
 
 
 @dataclass
@@ -298,7 +316,7 @@ class ServiceStats:
 
 
 class _Request:
-    """One queued frame submission."""
+    """One frame submission: what to run, its budget and its future."""
 
     __slots__ = ("params", "inputs", "deadline", "future", "timeline",
                  "submitted_at")
@@ -312,8 +330,462 @@ class _Request:
         self.submitted_at = time.monotonic()
 
 
-class PipelineService:
-    """A thread-based streaming execution service for one pipeline.
+class FrameRunner:
+    """The execution half of both serving tiers.
+
+    Everything between "this frame was picked" and "its future is
+    resolved" lives here once: deadline checkpoints, native (one
+    ``run_batch`` per coalesced window) or interpreter dispatch, the
+    background build and :class:`~repro.serve.fallback.FallbackPolicy`,
+    late-member drops, counters, stage histograms and timeline marks.
+    A feed forms windows (:meth:`batching_open`, :meth:`batchable`) and
+    hands them to :meth:`run_window`: :class:`PipelineService` from a
+    bounded queue via consumer threads, a
+    :class:`~repro.serve.router.ShardedService` worker from its command
+    pipe (:mod:`repro.serve.worker`).  Thread-safe.
+    """
+
+    def __init__(self, plan, name: str, *,
+                 backend: str = "auto",
+                 n_threads: int = 1,
+                 vectorize: bool = True,
+                 pool: BufferPool | None = None,
+                 max_batch: int = 8,
+                 coalesce: bool = True,
+                 max_native_errors: int = 3,
+                 events: EventLog | None = None,
+                 tracer: Tracer | None = None,
+                 build_kwargs: Mapping | None = None):
+        self.plan = plan
+        self.name = name
+        self.pool = pool
+        self.max_batch = max_batch
+        self._n_threads = n_threads
+        self._vectorize = vectorize
+        self._coalesce = coalesce and max_batch > 1
+        self._tracer = tracer if tracer is not None else get_tracer()
+        self._events = events
+        self._latency = LatencyWindow()
+        self._metrics = MetricsRegistry()
+        self._stage_hists = {
+            stage: self._metrics.histogram(f"{stage}_seconds")
+            for stage in STAGES}
+        self._timeout_reasons: dict[str, int] = {}
+        self._counts_lock = threading.Lock()
+        self._counts = {
+            "submitted": 0, "completed": 0, "rejected": 0,
+            "timeouts": 0, "failures": 0, "cancelled": 0,
+            "native_frames": 0, "interp_frames": 0, "inflight": 0,
+            "batches": 0, "batched_frames": 0,
+        }
+        self._policy = FallbackPolicy(
+            max_native_errors=max_native_errors,
+            native_enabled=backend != "interpreter",
+            on_transition=self._on_backend_transition)
+        self._build_handle: _build.AsyncBuild | None = None
+        if backend != "interpreter":
+            # module attribute lookup on purpose — fault-injection tests
+            # monkeypatch ``repro.codegen.build.build_native``
+            self._build_handle = _build.build_native_async(
+                plan, name, **dict(build_kwargs or {}))
+
+    # -- bookkeeping -------------------------------------------------------
+    def count(self, key: str, n: int = 1) -> None:
+        """Bump a per-frame counter (mirrored into the registry only by
+        :meth:`refresh_metrics`, never double-booked on the hot path)."""
+        with self._counts_lock:
+            self._counts[key] = self._counts.get(key, 0) + n
+        self._tracer.count(f"serve.{self.name}.{key}", n)
+
+    def _on_backend_transition(self, transition: str, fields: dict) -> None:
+        """Mirror fallback state-machine transitions into the event log
+        (as ``backend`` events) and the metrics registry."""
+        if self._events is not None:
+            self._events.append("backend", None, transition=transition,
+                                **fields)
+        self._metrics.count(f"backend_{transition}")
+
+    def fail_deadline(self, request: _Request,
+                      exc: DeadlineExceeded) -> None:
+        """Count (by reason), stamp and fail one deadline-dropped
+        request; the request's timeline rides on the exception as
+        ``exc.timeline`` so callers can still ask where the time went."""
+        reason = _timeout_reason(exc.where)
+        with self._counts_lock:
+            self._counts["timeouts"] = self._counts.get("timeouts", 0) + 1
+            self._timeout_reasons[reason] = \
+                self._timeout_reasons.get(reason, 0) + 1
+        self._tracer.count(f"serve.{self.name}.timeouts")
+        timeline = request.timeline
+        timeline.mark("dropped", reason=reason, where=exc.where)
+        if timeline.sampled:
+            self._tracer.async_end(f"serve.{self.name}.request",
+                                   timeline.request_id, cat="serve",
+                                   outcome="dropped", reason=reason)
+        exc.timeline = timeline
+        request.future.set_exception(exc)
+
+    def expire_at_gate(self, request: _Request) -> None:
+        """Fail a request whose deadline ran out while the caller held it
+        behind a paused gate."""
+        if self._claim(request):
+            self.fail_deadline(request, DeadlineExceeded(
+                "paused at gate", -request.deadline.remaining()))
+
+    def _record_completion(self, request: _Request, backend: str,
+                           latency: float) -> None:
+        """Stamp completion and feed the per-stage histograms."""
+        self._latency.record(latency)
+        timeline = request.timeline
+        timeline.mark("completed", backend=backend)
+        durations = timeline.durations()
+        for stage, hist in self._stage_hists.items():
+            if stage in durations:
+                hist.observe(durations[stage])
+        if timeline.sampled:
+            self._tracer.async_end(f"serve.{self.name}.request",
+                                   timeline.request_id, cat="serve",
+                                   outcome="completed", backend=backend)
+
+    def _poll_build(self) -> None:
+        """Fold a finished background build into the fallback policy."""
+        handle = self._build_handle
+        if handle is None or not handle.done():
+            return
+        exc = handle.exception()
+        native = handle.result() if exc is None else None
+        # the policy ingests the outcome exactly once even when several
+        # callers race here, so the counter below cannot double-count
+        reason = self._policy.note_build_resolved(native, exc)
+        if reason is not None:
+            self.count("fallbacks")  # mirrored detail in policy.fallbacks
+        self._build_handle = None  # resolved: later polls return at once
+
+    # -- forming a window --------------------------------------------------
+    def mark_dequeued(self, request: _Request) -> None:
+        request.timeline.mark("dequeued")
+        if request.timeline.sampled:
+            self._tracer.async_instant(
+                f"serve.{self.name}.request",
+                request.timeline.request_id, cat="serve", at="dequeued")
+
+    def batching_open(self) -> bool:
+        """May the caller coalesce a window now?
+
+        Coalescing only pays when the *native* batch entry point will
+        serve the frames — interpreter batching would serialize frames
+        that parallel workers could overlap — so the window stays shut
+        until the policy is in the native state.
+        """
+        if not self._coalesce:
+            return False
+        self._poll_build()
+        backend, _ = self._policy.backend_for_frame()
+        return backend == NATIVE
+
+    @staticmethod
+    def batchable(request: _Request, other: _Request) -> bool:
+        """Same param values and same input shapes/dtypes?"""
+        if other.params != request.params:
+            return False
+        if other.inputs.keys() != request.inputs.keys():
+            return False
+        for image, array in request.inputs.items():
+            candidate = other.inputs[image]
+            if np.shape(candidate) != np.shape(array):
+                return False
+            if (getattr(candidate, "dtype", None)
+                    != getattr(array, "dtype", None)):
+                return False
+        return True
+
+    # -- execution ---------------------------------------------------------
+    def run_window(self, requests: list) -> None:
+        """Serve one frame or one coalesced window (at most
+        ``max_batch`` mutually :meth:`batchable` requests, already
+        marked dequeued); every future is resolved on return."""
+        if len(requests) > 1:
+            batch_id = requests[0].timeline.request_id
+            for member in requests:
+                member.timeline.mark("coalesced", batch_id=batch_id,
+                                     size=len(requests))
+        self.count("inflight", len(requests))
+        try:
+            if len(requests) == 1:
+                if self._claim(requests[0]):
+                    self._execute(requests[0])
+            else:
+                self._handle_batch(requests)
+        finally:
+            self.count("inflight", -len(requests))
+
+    def _claim(self, request: _Request) -> bool:
+        """Move the future to RUNNING; a cancelled one is counted and
+        dropped instead (False)."""
+        if request.future.set_running_or_notify_cancel():
+            return True
+        self.count("cancelled")
+        request.timeline.mark("dropped", reason="cancelled")
+        return False
+
+    def _handle_batch(self, requests: list) -> None:
+        """Serve coalesced requests through one native batch call.
+
+        Deadline semantics: members already expired fail before the
+        call; the call itself cannot be interrupted, so on return each
+        member's deadline is re-checked and *late members are dropped
+        individually* — one slow batch never silently extends anyone's
+        budget.  If the native call fails (or the window closed between
+        take and dispatch), every claimed member is re-served through
+        the ordinary single-frame path with its own fallback handling.
+        """
+        ready = []
+        for request in filter(self._claim, requests):
+            deadline = request.deadline
+            if deadline is not None and deadline.expired():
+                self.fail_deadline(request, DeadlineExceeded(
+                    "queue wait", -deadline.remaining()))
+            else:
+                ready.append(request)
+        if not ready:
+            return
+        self._poll_build()
+        backend, native = self._policy.backend_for_frame()
+        if len(ready) == 1 or backend != NATIVE:
+            for request in ready:
+                self._execute(request)
+            return
+        for request in ready:
+            request.timeline.mark("dispatched", backend=NATIVE,
+                                  batch_size=len(ready))
+        try:
+            with self._tracer.span(f"serve.{self.name}.batch",
+                                   cat="serve", n_frames=len(ready)):
+                outputs_list = native.run_batch(
+                    ready[0].params,
+                    [request.inputs for request in ready],
+                    n_threads=self._n_threads, tracer=self._tracer,
+                    pool=self.pool)
+            self._policy.note_native_ok()
+        except Exception as exc:
+            # crash-free native failure: re-serve each member alone so
+            # a bad frame only sinks itself
+            self._policy.note_native_error(exc)
+            self.count("fallbacks")
+            for request in ready:
+                self._execute(request)
+            return
+        self.count("batches")
+        self.count("batched_frames", len(ready))
+        now = time.monotonic()
+        done = 0
+        for request, outputs in zip(ready, outputs_list):
+            deadline = request.deadline
+            if deadline is not None and deadline.expired():
+                self._recycle(outputs)
+                self.fail_deadline(request, DeadlineExceeded(
+                    "after batched native call", -deadline.remaining()))
+                continue
+            latency = now - request.submitted_at
+            self._record_completion(request, NATIVE, latency)
+            done += 1
+            request.future.set_result(
+                Frame(outputs, NATIVE, latency, self.pool,
+                      _timeline=request.timeline))
+        if done:
+            self.count("completed", done)
+            self.count("native_frames", done)
+
+    def _execute(self, request: _Request) -> None:
+        """Run one claimed request (its future is already RUNNING)."""
+        future = request.future
+        deadline = request.deadline
+        with self._tracer.span(f"serve.{self.name}.frame", cat="serve"):
+            self._poll_build()
+            backend, native = self._policy.backend_for_frame()
+            try:
+                if deadline is not None:
+                    deadline.check("queue wait")
+                request.timeline.mark("dispatched", backend=backend)
+                if backend == NATIVE:
+                    try:
+                        outputs = self._run_native(native, request)
+                        self._policy.note_native_ok()
+                    except DeadlineExceeded:
+                        raise
+                    except Exception as exc:
+                        # crash-free native failure: re-serve the frame
+                        # with the interpreter
+                        self._policy.note_native_error(exc)
+                        self.count("fallbacks")
+                        backend = INTERPRETER
+                        request.timeline.mark("dispatched",
+                                              backend=INTERPRETER,
+                                              retry=True)
+                        outputs = self._run_interp(request)
+                else:
+                    outputs = self._run_interp(request)
+            except DeadlineExceeded as exc:
+                self.fail_deadline(request, exc)
+                return
+            except Exception as exc:
+                self.count("failures")
+                request.timeline.mark(
+                    "dropped", reason="error",
+                    error=f"{type(exc).__name__}: {exc}")
+                if request.timeline.sampled:
+                    self._tracer.async_end(
+                        f"serve.{self.name}.request",
+                        request.timeline.request_id, cat="serve",
+                        outcome="error")
+                future.set_exception(exc)
+                return
+        latency = time.monotonic() - request.submitted_at
+        self._record_completion(request, backend, latency)
+        self.count("completed")
+        self.count("native_frames" if backend == NATIVE
+                   else "interp_frames")
+        future.set_result(Frame(outputs, backend, latency, self.pool,
+                                _timeline=request.timeline))
+
+    def _run_native(self, native, request: _Request) -> dict:
+        deadline = request.deadline
+        if deadline is not None:
+            deadline.check("before native call")
+        outputs = native(request.params, request.inputs,
+                         n_threads=self._n_threads, tracer=self._tracer,
+                         pool=self.pool)
+        if deadline is not None and deadline.expired():
+            # the native call cannot be interrupted mid-flight; a late
+            # frame is dropped and its buffers recycled immediately
+            self._recycle(outputs)
+            raise DeadlineExceeded("after native call",
+                                   -deadline.remaining())
+        return outputs
+
+    def _recycle(self, outputs: dict) -> None:
+        """Hand a dropped frame's outputs back to the pool (dedup by id —
+        two outputs may alias one stage array)."""
+        if self.pool is not None:
+            self.pool.release(*{id(a): a for a in outputs.values()}.values())
+
+    def _run_interp(self, request: _Request) -> dict:
+        return execute_plan(self.plan, request.params, request.inputs,
+                            vectorize=self._vectorize,
+                            n_threads=self._n_threads,
+                            tracer=self._tracer,
+                            deadline=request.deadline,
+                            out_pool=self.pool)
+
+    # -- introspection -----------------------------------------------------
+    @property
+    def backend(self) -> str:
+        """Current backend state: ``building``/``native``/``interpreter``."""
+        self._poll_build()
+        return self._policy.state
+
+    def wait_ready(self, timeout: float | None = None) -> str:
+        """Block until the background build resolves (ready or failed);
+        returns the resulting backend state.  Interpreter-only runners
+        return immediately."""
+        handle = self._build_handle
+        if handle is not None:
+            handle.wait(timeout)
+        return self.backend
+
+    def build_provenance(self) -> dict | None:
+        """How this runner's native artifact was obtained, or ``None``
+        while no native pipeline is resolved: compile seconds,
+        compile-cache hit, artifact key, and whether the artifact was
+        cold-started from the persistent schedule store
+        (``loaded_from_store`` — no codegen, no C compiler run)."""
+        self._poll_build()
+        native = self._policy.native
+        if native is None:
+            return None
+        info = getattr(native, "build_info", None)
+        return {
+            "key": info.key if info is not None else None,
+            "compile_s": info.compile_s if info is not None else None,
+            "cache_hit": info.cache_hit if info is not None else None,
+            "loaded_from_store": getattr(native, "loaded_from_store",
+                                         False),
+        }
+
+    def refresh_metrics(self, **gauges: float) -> MetricsRegistry:
+        """The registry, synced from the hot-path counters (kept in
+        ``self._counts`` alone, one lock on the serving path; idempotent
+        via ``set_counter``) plus the feed's own ``gauges``."""
+        self._poll_build()
+        metrics = self._metrics
+        with self._counts_lock:
+            counts = dict(self._counts)
+            reasons = dict(self._timeout_reasons)
+        inflight = counts.pop("inflight", 0)
+        for key, value in counts.items():
+            metrics.set_counter(key, value)
+        for reason, value in reasons.items():
+            metrics.set_counter(f"timeouts_{reason}", value)
+        for key, value in gauges.items():
+            metrics.gauge(key, float(value))
+        metrics.gauge("inflight", float(inflight))
+        state = self._policy.state
+        for candidate in (BUILDING, NATIVE, INTERPRETER):
+            metrics.gauge(f"backend_is_{candidate}",
+                          1.0 if state == candidate else 0.0)
+        if self.pool is not None:
+            pool = self.pool.stats()
+            for key in ("hits", "misses", "outstanding", "idle"):
+                metrics.gauge(f"pool_{key}", float(pool.get(key, 0)))
+        return metrics
+
+    def snapshot(self, queue_depth: int) -> ServiceStats:
+        """Counters, rates, latency percentiles and pool state;
+        ``queue_depth`` is the feed's backlog."""
+        self._poll_build()
+        with self._counts_lock:
+            counts = dict(self._counts)
+            reasons = dict(self._timeout_reasons)
+        return ServiceStats(
+            name=self.name,
+            backend=self._policy.state,
+            submitted=counts["submitted"],
+            completed=counts["completed"],
+            rejected=counts["rejected"],
+            timeouts=counts["timeouts"],
+            failures=counts["failures"],
+            cancelled=counts["cancelled"],
+            native_frames=counts["native_frames"],
+            interp_frames=counts["interp_frames"],
+            batches=counts["batches"],
+            batched_frames=counts["batched_frames"],
+            fallbacks=self._policy.fallbacks(),
+            queue_depth=queue_depth,
+            inflight=counts["inflight"],
+            pool=self.pool.stats() if self.pool is not None else {},
+            latency=self._latency.snapshot(),
+            timeouts_by_reason=reasons,
+            stages=stage_summaries(self._stage_hists),
+        )
+
+    def release(self) -> None:
+        """Drop idle pooled buffers and the native scratch arenas.
+
+        Safe to call at any time, including under traffic: in-flight
+        frames keep their leased arrays, the pool merely re-allocates on
+        the next acquire, and the native arena re-grows on the next
+        call.
+        """
+        if self.pool is not None:
+            self.pool.drain()
+        native = self._policy.native
+        if native is not None and hasattr(native, "release"):
+            native.release()
+
+
+class PipelineService(FrameRunner):
+    """A thread-based streaming execution service for one pipeline: a
+    :class:`FrameRunner` fed by a bounded queue and consumer threads.
 
     Parameters
     ----------
@@ -341,9 +813,7 @@ class PipelineService:
         ``True`` (default) pools output/intermediate buffers per
         service; ``False`` allocates per frame.  A
         :class:`~repro.runtime.buffers.BufferPool` *instance* is used
-        as-is — the process-backed worker tier injects a
-        :class:`~repro.serve.shm.ShmBufferPool` here so outputs land
-        directly in shared memory.
+        as-is.
     max_batch:
         Upper bound on frames coalesced into one native batch call
         (``1`` disables coalescing).  The batching window is whatever
@@ -388,10 +858,7 @@ class PipelineService:
                  build_kwargs: Mapping | None = None,
                  name: str | None = None,
                  tracer: Tracer | None = None):
-        if backend not in ("auto", "interpreter", "native"):
-            raise ValueError(
-                f"backend must be 'auto', 'interpreter' or 'native', "
-                f"got {backend!r}")
+        check_backend(backend)
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if max_batch < 1:
@@ -399,56 +866,27 @@ class PipelineService:
         if not 0.0 <= sample_rate <= 1.0:
             raise ValueError(
                 f"sample_rate must be in [0, 1], got {sample_rate}")
-        self.plan = compiled.plan
-        self.name = name or getattr(compiled, "name", "pipeline")
+        super().__init__(
+            compiled.plan, name or getattr(compiled, "name", "pipeline"),
+            backend=backend, n_threads=n_threads, vectorize=vectorize,
+            pool=pool if isinstance(pool, BufferPool)
+            else (BufferPool() if pool else None),
+            max_batch=max_batch, coalesce=coalesce,
+            max_native_errors=max_native_errors,
+            events=event_log if event_log is not None else EventLog(
+                capacity=event_capacity, sink=events_path),
+            tracer=tracer, build_kwargs=build_kwargs)
         self.backend_mode = backend
         self.default_deadline_s = default_deadline_s
-        self._n_threads = n_threads
-        self._vectorize = vectorize
-        self._max_batch = max_batch
-        self._coalesce = coalesce and max_batch > 1
-        self._tracer = tracer if tracer is not None else get_tracer()
-        self._pool = pool if isinstance(pool, BufferPool) \
-            else (BufferPool() if pool else None)
         self._queue = BoundedQueue(max_queue)
         self._gate = threading.Event()  # cleared = paused
         self._gate.set()
-        self._latency = LatencyWindow()
-
-        # observability: event ring, per-stage histograms, sampling
-        self._events = event_log if event_log is not None else EventLog(
-            capacity=event_capacity, sink=events_path)
-        self._metrics = MetricsRegistry()
-        self._stage_hists = {
-            stage: self._metrics.histogram(f"{stage}_seconds")
-            for stage in STAGES}
         self._sample_every = round(1.0 / sample_rate) if sample_rate \
             else 0
         self._rid = itertools.count()
-        self._timeout_reasons: dict[str, int] = {}
         self._metrics_server = None
-
-        self._policy = FallbackPolicy(
-            max_native_errors=max_native_errors,
-            native_enabled=backend != "interpreter",
-            on_transition=self._on_backend_transition)
-
-        self._counts_lock = threading.Lock()
-        self._counts = {
-            "submitted": 0, "completed": 0, "rejected": 0,
-            "timeouts": 0, "failures": 0, "cancelled": 0,
-            "native_frames": 0, "interp_frames": 0, "inflight": 0,
-            "batches": 0, "batched_frames": 0,
-        }
         self._closed = False
         self._close_lock = threading.Lock()
-
-        self._build_handle: _build.AsyncBuild | None = None
-        if backend != "interpreter":
-            # module attribute lookup on purpose — fault-injection tests
-            # monkeypatch ``repro.codegen.build.build_native``
-            self._build_handle = _build.build_native_async(
-                self.plan, self.name, **dict(build_kwargs or {}))
 
         self._workers = [
             threading.Thread(target=self._worker_loop, daemon=True,
@@ -457,70 +895,6 @@ class PipelineService:
         ]
         for worker in self._workers:
             worker.start()
-
-    # -- bookkeeping -------------------------------------------------------
-    def _count(self, key: str, n: int = 1) -> None:
-        # the per-frame counters live in self._counts alone; they are
-        # overlaid onto the metrics registry at scrape time
-        # (_refresh_gauges) instead of double-booked on the hot path
-        with self._counts_lock:
-            self._counts[key] = self._counts.get(key, 0) + n
-        self._tracer.count(f"serve.{self.name}.{key}", n)
-
-    def _on_backend_transition(self, transition: str, fields: dict) -> None:
-        """Mirror fallback state-machine transitions into the event log
-        (as ``backend`` events) and the metrics registry."""
-        self._events.append("backend", None, transition=transition,
-                            **fields)
-        self._metrics.count(f"backend_{transition}")
-
-    def _fail_deadline(self, request: _Request,
-                       exc: DeadlineExceeded) -> None:
-        """Count (by reason), stamp and fail one deadline-dropped
-        request; the request's timeline rides on the exception as
-        ``exc.timeline`` so callers can still ask where the time went."""
-        reason = _timeout_reason(exc.where)
-        with self._counts_lock:
-            self._counts["timeouts"] = self._counts.get("timeouts", 0) + 1
-            self._timeout_reasons[reason] = \
-                self._timeout_reasons.get(reason, 0) + 1
-        self._tracer.count(f"serve.{self.name}.timeouts")
-        timeline = request.timeline
-        timeline.mark("dropped", reason=reason, where=exc.where)
-        if timeline.sampled:
-            self._tracer.async_end(f"serve.{self.name}.request",
-                                   timeline.request_id, cat="serve",
-                                   outcome="dropped", reason=reason)
-        exc.timeline = timeline
-        request.future.set_exception(exc)
-
-    def _record_completion(self, request: _Request, backend: str,
-                           latency: float) -> None:
-        """Stamp completion and feed the per-stage histograms."""
-        self._latency.record(latency)
-        timeline = request.timeline
-        timeline.mark("completed", backend=backend)
-        durations = timeline.durations()
-        for stage, hist in self._stage_hists.items():
-            if stage in durations:
-                hist.observe(durations[stage])
-        if timeline.sampled:
-            self._tracer.async_end(f"serve.{self.name}.request",
-                                   timeline.request_id, cat="serve",
-                                   outcome="completed", backend=backend)
-
-    def _poll_build(self) -> None:
-        """Fold a finished background build into the fallback policy."""
-        handle = self._build_handle
-        if handle is None or not handle.done():
-            return
-        exc = handle.exception()
-        native = handle.result() if exc is None else None
-        # the policy ingests the outcome exactly once even when several
-        # workers race here, so the counter below cannot double-count
-        reason = self._policy.note_build_resolved(native, exc)
-        if reason is not None:
-            self._count("fallbacks")  # mirrored detail in policy.fallbacks
 
     # -- submission --------------------------------------------------------
     def submit(self, param_values, inputs, *,
@@ -556,7 +930,7 @@ class PipelineService:
         try:
             self._queue.put(request)
         except (Overloaded, ServiceClosed) as exc:
-            self._count("rejected")
+            self.count("rejected")
             reason = "overloaded" if isinstance(exc, Overloaded) \
                 else "closed"
             timeline.mark("rejected", reason=reason)
@@ -564,7 +938,7 @@ class PipelineService:
                 self._tracer.async_end(f"serve.{self.name}.request", rid,
                                        cat="serve", outcome="rejected")
             raise
-        self._count("submitted")
+        self.count("submitted")
         return future
 
     def run(self, param_values, inputs, *,
@@ -583,30 +957,17 @@ class PipelineService:
                 request = self._queue.get()
             except QueueClosed:
                 return
-            self._mark_dequeued(request)
+            self.mark_dequeued(request)
             if not self._pass_gate(request):
                 continue
-            requests = [request] + self._coalesce_window(request)
-            if len(requests) > 1:
-                batch_id = requests[0].timeline.request_id
-                for member in requests:
-                    member.timeline.mark("coalesced", batch_id=batch_id,
-                                         size=len(requests))
-            self._count("inflight", len(requests))
-            try:
-                if len(requests) == 1:
-                    self._handle(request)
-                else:
-                    self._handle_batch(requests)
-            finally:
-                self._count("inflight", -len(requests))
-
-    def _mark_dequeued(self, request: _Request) -> None:
-        request.timeline.mark("dequeued")
-        if request.timeline.sampled:
-            self._tracer.async_instant(
-                f"serve.{self.name}.request",
-                request.timeline.request_id, cat="serve", at="dequeued")
+            window = [request]
+            if self.batching_open():
+                window += self._queue.take_while(
+                    lambda other: self.batchable(request, other),
+                    self.max_batch)
+                for member in window[1:]:
+                    self.mark_dequeued(member)
+            self.run_window(window)
 
     def _pass_gate(self, request: _Request) -> bool:
         """Wait out a pause *without* letting the request's deadline burn
@@ -625,217 +986,12 @@ class PipelineService:
             return True
         while not self._gate.wait(deadline.remaining()):
             if deadline.expired():
-                if request.future.set_running_or_notify_cancel():
-                    self._fail_deadline(request, DeadlineExceeded(
-                        "paused at gate", -deadline.remaining()))
-                else:
-                    self._count("cancelled")
-                    request.timeline.mark("dropped", reason="cancelled")
+                self.expire_at_gate(request)
                 return False
-        # the gate reopened in time; _handle re-checks the deadline
+        # the gate reopened in time; execution re-checks the deadline
         # before running ("queue wait"), covering the reopened-too-late
         # window as well
         return True
-
-    # -- coalescing --------------------------------------------------------
-    def _coalesce_window(self, request: _Request) -> list:
-        """Pop queued requests batchable with ``request`` (maybe none).
-
-        Coalescing only pays when the *native* batch entry point will
-        serve the frames — interpreter batching would serialize frames
-        that parallel workers could overlap — so the window stays shut
-        until the policy is in the native state.
-        """
-        if not self._coalesce:
-            return []
-        self._poll_build()
-        backend, _ = self._policy.backend_for_frame()
-        if backend != NATIVE:
-            return []
-        taken = self._queue.take_while(
-            lambda other: self._batchable(request, other),
-            self._max_batch)
-        for member in taken:
-            self._mark_dequeued(member)
-        return taken
-
-    @staticmethod
-    def _batchable(request: _Request, other: _Request) -> bool:
-        """Same param values and same input shapes/dtypes?"""
-        if other.params != request.params:
-            return False
-        if other.inputs.keys() != request.inputs.keys():
-            return False
-        for image, array in request.inputs.items():
-            candidate = other.inputs[image]
-            if np.shape(candidate) != np.shape(array):
-                return False
-            if (getattr(candidate, "dtype", None)
-                    != getattr(array, "dtype", None)):
-                return False
-        return True
-
-    def _handle_batch(self, requests: list) -> None:
-        """Serve coalesced requests through one native batch call.
-
-        Deadline semantics: members already expired fail before the
-        call; the call itself cannot be interrupted, so on return each
-        member's deadline is re-checked and *late members are dropped
-        individually* — one slow batch never silently extends anyone's
-        budget.  If the native call fails (or the window closed between
-        take and dispatch), every claimed member is re-served through
-        the ordinary single-frame path with its own fallback handling.
-        """
-        live = []
-        for request in requests:
-            if request.future.set_running_or_notify_cancel():
-                live.append(request)
-            else:
-                self._count("cancelled")
-                request.timeline.mark("dropped", reason="cancelled")
-        ready = []
-        for request in live:
-            deadline = request.deadline
-            if deadline is not None and deadline.expired():
-                self._fail_deadline(request, DeadlineExceeded(
-                    "queue wait", -deadline.remaining()))
-            else:
-                ready.append(request)
-        if not ready:
-            return
-        self._poll_build()
-        backend, native = self._policy.backend_for_frame()
-        if len(ready) == 1 or backend != NATIVE:
-            for request in ready:
-                self._execute(request)
-            return
-        for request in ready:
-            request.timeline.mark("dispatched", backend=NATIVE,
-                                  batch_size=len(ready))
-        try:
-            with self._tracer.span(f"serve.{self.name}.batch",
-                                   cat="serve", n_frames=len(ready)):
-                outputs_list = native.run_batch(
-                    ready[0].params,
-                    [request.inputs for request in ready],
-                    n_threads=self._n_threads, tracer=self._tracer,
-                    pool=self._pool)
-            self._policy.note_native_ok()
-        except Exception as exc:
-            # crash-free native failure: re-serve each member alone so
-            # a bad frame only sinks itself
-            self._policy.note_native_error(exc)
-            self._count("fallbacks")
-            for request in ready:
-                self._execute(request)
-            return
-        self._count("batches")
-        self._count("batched_frames", len(ready))
-        now = time.monotonic()
-        done = 0
-        for request, outputs in zip(ready, outputs_list):
-            deadline = request.deadline
-            if deadline is not None and deadline.expired():
-                if self._pool is not None:
-                    self._pool.release(
-                        *{id(a): a for a in outputs.values()}.values())
-                self._fail_deadline(request, DeadlineExceeded(
-                    "after batched native call", -deadline.remaining()))
-                continue
-            latency = now - request.submitted_at
-            self._record_completion(request, NATIVE, latency)
-            done += 1
-            request.future.set_result(
-                Frame(outputs, NATIVE, latency, self._pool,
-                      _timeline=request.timeline))
-        if done:
-            self._count("completed", done)
-            self._count("native_frames", done)
-
-    def _handle(self, request: _Request) -> None:
-        if not request.future.set_running_or_notify_cancel():
-            self._count("cancelled")
-            request.timeline.mark("dropped", reason="cancelled")
-            return
-        self._execute(request)
-
-    def _execute(self, request: _Request) -> None:
-        """Run one claimed request (its future is already RUNNING)."""
-        future = request.future
-        deadline = request.deadline
-        with self._tracer.span(f"serve.{self.name}.frame", cat="serve"):
-            self._poll_build()
-            backend, native = self._policy.backend_for_frame()
-            try:
-                if deadline is not None:
-                    deadline.check("queue wait")
-                request.timeline.mark("dispatched", backend=backend)
-                if backend == NATIVE:
-                    try:
-                        outputs = self._run_native(native, request)
-                        self._policy.note_native_ok()
-                    except DeadlineExceeded:
-                        raise
-                    except Exception as exc:
-                        # crash-free native failure: re-serve the frame
-                        # with the interpreter
-                        self._policy.note_native_error(exc)
-                        self._count("fallbacks")
-                        backend = INTERPRETER
-                        request.timeline.mark("dispatched",
-                                              backend=INTERPRETER,
-                                              retry=True)
-                        outputs = self._run_interp(request)
-                else:
-                    outputs = self._run_interp(request)
-            except DeadlineExceeded as exc:
-                self._fail_deadline(request, exc)
-                return
-            except Exception as exc:
-                self._count("failures")
-                request.timeline.mark(
-                    "dropped", reason="error",
-                    error=f"{type(exc).__name__}: {exc}")
-                if request.timeline.sampled:
-                    self._tracer.async_end(
-                        f"serve.{self.name}.request",
-                        request.timeline.request_id, cat="serve",
-                        outcome="error")
-                future.set_exception(exc)
-                return
-        latency = time.monotonic() - request.submitted_at
-        self._record_completion(request, backend, latency)
-        self._count("completed")
-        self._count("native_frames" if backend == NATIVE
-                    else "interp_frames")
-        future.set_result(Frame(outputs, backend, latency, self._pool,
-                                _timeline=request.timeline))
-
-    def _run_native(self, native, request: _Request) -> dict:
-        deadline = request.deadline
-        if deadline is not None:
-            deadline.check("before native call")
-        outputs = native(request.params, request.inputs,
-                         n_threads=self._n_threads, tracer=self._tracer,
-                         pool=self._pool)
-        if deadline is not None and deadline.expired():
-            # the native call cannot be interrupted mid-flight; a late
-            # frame is dropped and its buffers recycled immediately
-            # (dedup by id — two outputs may alias one stage array)
-            if self._pool is not None:
-                self._pool.release(
-                    *{id(a): a for a in outputs.values()}.values())
-            raise DeadlineExceeded("after native call",
-                                   -deadline.remaining())
-        return outputs
-
-    def _run_interp(self, request: _Request) -> dict:
-        return execute_plan(self.plan, request.params, request.inputs,
-                            vectorize=self._vectorize,
-                            n_threads=self._n_threads,
-                            tracer=self._tracer,
-                            deadline=request.deadline,
-                            out_pool=self._pool)
 
     # -- flow control ------------------------------------------------------
     def pause(self) -> None:
@@ -851,39 +1007,6 @@ class PipelineService:
 
     # -- introspection -----------------------------------------------------
     @property
-    def backend(self) -> str:
-        """Current backend state: ``building``/``native``/``interpreter``."""
-        self._poll_build()
-        return self._policy.state
-
-    def wait_ready(self, timeout: float | None = None) -> str:
-        """Block until the background build resolves (ready or failed);
-        returns the resulting backend state.  Interpreter-only services
-        return immediately."""
-        if self._build_handle is not None:
-            self._build_handle.wait(timeout)
-        return self.backend
-
-    def build_provenance(self) -> dict | None:
-        """How this service's native artifact was obtained, or ``None``
-        while no native pipeline is resolved: compile seconds,
-        compile-cache hit, artifact key, and whether the artifact was
-        cold-started from the persistent schedule store
-        (``loaded_from_store`` — no codegen, no C compiler run)."""
-        self._poll_build()
-        native = self._policy.native
-        if native is None:
-            return None
-        info = getattr(native, "build_info", None)
-        return {
-            "key": info.key if info is not None else None,
-            "compile_s": info.compile_s if info is not None else None,
-            "cache_hit": info.cache_hit if info is not None else None,
-            "loaded_from_store": getattr(native, "loaded_from_store",
-                                         False),
-        }
-
-    @property
     def event_log(self) -> EventLog:
         """The service's lifecycle :class:`EventLog` ring."""
         return self._events
@@ -893,41 +1016,15 @@ class PipelineService:
         """The service's :class:`MetricsRegistry` (counters + stage
         histograms), refreshed from the hot-path counters on access;
         rendered by :meth:`serve_metrics`."""
-        self._refresh_gauges()
-        return self._metrics
+        return self.refresh_metrics(
+            queue_depth=len(self._queue),
+            queue_max_depth=self._queue.max_depth,
+            paused=0.0 if self._gate.is_set() else 1.0)
 
     def events(self, request_id=None, kind: str | None = None) -> list:
         """Filtered snapshot of the event ring (see
         :meth:`EventLog.events`)."""
         return self._events.events(request_id=request_id, kind=kind)
-
-    def _refresh_gauges(self) -> None:
-        """Sync hot-path counters and instantaneous state into the
-        metrics registry.  The per-frame counters are kept in
-        ``self._counts`` alone (one lock on the serving path) and
-        mirrored here, at scrape/access time — idempotent via
-        ``set_counter``, so repeated scrapes never double-count."""
-        metrics = self._metrics
-        with self._counts_lock:
-            counts = dict(self._counts)
-            reasons = dict(self._timeout_reasons)
-        inflight = counts.pop("inflight", 0)
-        for key, value in counts.items():
-            metrics.set_counter(key, value)
-        for reason, value in reasons.items():
-            metrics.set_counter(f"timeouts_{reason}", value)
-        metrics.gauge("queue_depth", float(len(self._queue)))
-        metrics.gauge("queue_max_depth", float(self._queue.max_depth))
-        metrics.gauge("inflight", float(inflight))
-        metrics.gauge("paused", 0.0 if self._gate.is_set() else 1.0)
-        state = self._policy.state
-        for candidate in (BUILDING, NATIVE, INTERPRETER):
-            metrics.gauge(f"backend_is_{candidate}",
-                          1.0 if state == candidate else 0.0)
-        if self._pool is not None:
-            pool = self._pool.stats()
-            for key in ("hits", "misses", "outstanding", "idle"):
-                metrics.gauge(f"pool_{key}", float(pool.get(key, 0)))
 
     def serve_metrics(self, port: int = 0, host: str = "127.0.0.1"):
         """Start (or return the already-running) stdlib HTTP endpoint
@@ -940,68 +1037,16 @@ class PipelineService:
         if self._metrics_server is None:
             from repro.observe.export import MetricsServer
 
-            def render() -> str:
-                self._poll_build()
-                self._refresh_gauges()
-                return self._metrics.expose_text(prefix="repro_serve_")
-
-            self._metrics_server = MetricsServer(render, host=host,
-                                                 port=port)
+            self._metrics_server = MetricsServer(
+                lambda: self.metrics.expose_text(prefix="repro_serve_"),
+                host=host, port=port)
         return self._metrics_server
 
     def stats(self) -> ServiceStats:
         """Snapshot counters, rates, latency percentiles and pool state."""
-        self._poll_build()
-        with self._counts_lock:
-            counts = dict(self._counts)
-            reasons = dict(self._timeout_reasons)
-        stages = {}
-        for stage in STAGES:
-            summary = self._stage_hists[stage].summary()
-            stages[stage] = {
-                "count": summary["count"],
-                "mean_ms": summary["mean"] * 1000.0,
-                "p50_ms": summary["p50"] * 1000.0,
-                "p90_ms": summary["p90"] * 1000.0,
-                "p99_ms": summary["p99"] * 1000.0,
-            }
-        return ServiceStats(
-            name=self.name,
-            backend=self._policy.state,
-            submitted=counts["submitted"],
-            completed=counts["completed"],
-            rejected=counts["rejected"],
-            timeouts=counts["timeouts"],
-            failures=counts["failures"],
-            cancelled=counts["cancelled"],
-            native_frames=counts["native_frames"],
-            interp_frames=counts["interp_frames"],
-            batches=counts["batches"],
-            batched_frames=counts["batched_frames"],
-            fallbacks=self._policy.fallbacks(),
-            queue_depth=len(self._queue),
-            inflight=counts["inflight"],
-            pool=self._pool.stats() if self._pool is not None else {},
-            latency=self._latency.snapshot(),
-            timeouts_by_reason=reasons,
-            stages=stages,
-        )
+        return self.snapshot(len(self._queue))
 
     # -- resource management ----------------------------------------------
-    def release(self) -> None:
-        """Drop idle pooled buffers and the native scratch arenas.
-
-        Safe to call at any time, including under traffic: in-flight
-        frames keep their leased arrays, the pool merely re-allocates on
-        the next acquire, and the native arena re-grows on the next
-        call.
-        """
-        if self._pool is not None:
-            self._pool.drain()
-        native = self._policy.native
-        if native is not None and hasattr(native, "release"):
-            native.release()
-
     def close(self, drain: bool = True,
               timeout: float | None = None) -> None:
         """Shut down: reject new submissions, then stop the workers.
@@ -1017,7 +1062,7 @@ class PipelineService:
         self._gate.set()  # wake paused workers so they can exit
         for request in abandoned:
             if request.future.cancel():
-                self._count("cancelled")
+                self.count("cancelled")
         if not already:
             for worker in self._workers:
                 worker.join(timeout)

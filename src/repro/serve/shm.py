@@ -42,6 +42,7 @@ including those of a worker that died mid-frame (see
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import threading
 from multiprocessing import shared_memory
@@ -439,9 +440,7 @@ class ShmBufferPool(BufferPool):
                 fill: float | int = 0) -> np.ndarray:
         shape = tuple(int(n) for n in shape)
         dt = np.dtype(dtype)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize \
-            if shape else dt.itemsize
-        lease = self.allocator.alloc(max(nbytes, 1))
+        lease = self.allocator.alloc(max(math.prod(shape) * dt.itemsize, 1))
         array = lease.ndarray(shape, dt)
         array.fill(fill)
         with self._lock:
@@ -449,9 +448,8 @@ class ShmBufferPool(BufferPool):
             self._outstanding += 1
             # hit/miss bookkeeping mirrors the slab reuse, so the
             # service's pool stats keep meaning "allocated nothing new"
-            stats = self.allocator.stats()
-            self._hits = stats["hits"]
-            self._misses = stats["misses"]
+            self._hits = self.allocator._hits
+            self._misses = self.allocator._misses
         return array
 
     def release(self, *arrays: np.ndarray) -> None:

@@ -6,13 +6,20 @@ content-addressed :class:`~repro.codegen.build.CompileCache` dedups the
 actual ``gcc`` run across workers), its own
 :class:`~repro.serve.fallback.FallbackPolicy`, scratch arenas, and an
 output :class:`~repro.serve.shm.ShmBufferPool` — so the interpreter
-fallback escapes the GIL entirely.
+fallback escapes the GIL.
 
-Internally a worker is simply a :class:`~repro.serve.service.
-PipelineService` (threads, bounded queue, deadlines, coalescing —
-PR 6's batch windows form in the worker's own queue) fed by a command
-pipe.  The pipe carries **headers only**: a ``frame`` message is the
-request id, parameter values by name, and one
+A worker is one loop over its command pipe — no inner queue, no
+consumer threads — that runs each frame as it reads it through the
+:class:`~repro.serve.service.FrameRunner` the thread service is built
+on.  While native serves, the frames *already readable* on the pipe
+that are batchable with the one in hand join it in one ``run_batch``
+call; nothing waits for a window to fill.  Control messages are handled
+as they are read.  While paused, frames park in arrival order and the
+oldest one fails with ``DeadlineExceeded("paused at gate")`` if its
+deadline runs out first.
+
+The pipe carries **headers only**: a ``frame`` message is the request
+id, parameter values by name, and one
 :meth:`~repro.serve.shm.SlotLease.header` per input; the reply is the
 request id plus one header per output.  Pixels move exclusively through
 the shared-memory slabs (:mod:`repro.serve.shm`).
@@ -31,7 +38,7 @@ Protocol (worker → router)::
     ("backend", state)                    # background build resolved
     ("done", rid, {out: header}, backend, marks, latency_s)
     ("err",  rid, kind, detail, marks)    # kind: deadline | error | ...
-                                          # deadline detail = the `where`
+                                          # deadline: (where, overrun_s)
     ("stats", seq, payload)
     ("bye", [segment names])              # graceful exit (router unlinks)
 
@@ -44,32 +51,199 @@ from __future__ import annotations
 
 import os
 import pickle
+import select
 import threading
 import time
 import traceback
-from concurrent.futures import CancelledError
+from collections import deque
+from concurrent.futures import Future
+from functools import partial
 
-from repro.serve.deadlines import DeadlineExceeded
-from repro.serve.queue import Overloaded, ServiceClosed
+from repro.observe.events import Timeline
+from repro.serve.deadlines import Deadline, DeadlineExceeded
+from repro.serve.service import FrameRunner, _Request
 from repro.serve.shm import SegmentMap, ShmBufferPool, SlabAllocator
 
-#: inner-service defaults a shard runs with unless the router overrides
-DEFAULT_INNER_WORKERS = 2
+
+def _send(conn, lock, msg) -> bool:
+    """Best-effort send of one message under ``lock``; False once the
+    pipe is down.  Pickled outside the lock, and with plain ``pickle``:
+    messages hold builtins only, and ``Connection.send``'s pickler copies
+    its reducer table on every call."""
+    data = pickle.dumps(msg)
+    with lock:
+        try:
+            conn.send_bytes(data)
+            return True
+        except (BrokenPipeError, OSError, ValueError):
+            return False
 
 
-def _relative_marks(timeline, anchor: float) -> list[tuple]:
-    """Compress a worker-side timeline into picklable ``(dt, kind,
-    fields)`` marks relative to ``anchor`` — the router grafts them back
-    onto the client-facing timeline."""
-    if timeline is None:
-        return []
-    marks = []
-    for event in timeline.events():
-        fields = {k: v for k, v in event.fields.items()
-                  if isinstance(k, str)
-                  and isinstance(v, (str, int, float, bool, type(None)))}
-        marks.append((event.ts - anchor, event.kind, fields))
-    return marks
+class _PipeRunner(FrameRunner):
+    """A :class:`FrameRunner` fed by the worker's command pipe.  Frames
+    read but not yet run wait in ``backlog`` — only while paused, or for
+    the moment a coalescing window is being formed."""
+
+    def __init__(self, conn, send, plan, name: str, cfg: dict,
+                 allocator: SlabAllocator):
+        super().__init__(
+            plan, name, backend=cfg["backend"], n_threads=cfg["n_threads"],
+            vectorize=cfg["vectorize"], pool=ShmBufferPool(allocator),
+            max_batch=cfg["max_batch"], coalesce=cfg["coalesce"],
+            build_kwargs=cfg["build_kwargs"])
+        self.conn = conn
+        self.poller = select.poll()  # ~10x cheaper than conn.poll
+        self.poller.register(conn.fileno(), select.POLLIN)
+        self.send = send
+        self.allocator = allocator
+        self.inputs_map = SegmentMap()
+        self.params_by_name = {p.name: p for p in plan.estimates}
+        self.images_by_name = {img.name: img
+                               for img in plan.ir.graph.inputs}
+        self.backlog: deque[_Request] = deque()
+        self.paused = False
+        self.closing: bool | None = None  # the close message's drain flag
+        self.down = False                 # the pipe broke (router gone)
+        self.copied_out = 0  # outputs that were not pool-backed (should be 0)
+
+    def serve(self) -> bool:
+        """Run until ``close`` (True: graceful) or the pipe breaks."""
+        while self.closing is None and not self.down:
+            if self.backlog and not self.paused:
+                self.run_next()
+                continue
+            head = self.backlog[0] if self.backlog else None
+            if head is None or head.deadline is None:
+                self.read()
+                continue
+            self.read(max(0.0, head.deadline.remaining()))
+            if self.paused and head.deadline.expired():
+                # the oldest parked frame ran out of budget at the gate
+                self.backlog.popleft()
+                self.expire_at_gate(head)
+                self.ship(head)
+        if self.closing:
+            while self.backlog:
+                self.run_next()
+        for request in self.backlog:
+            self.count("cancelled")
+            self.send(("err", request.timeline.request_id, "cancelled",
+                       "cancelled", []))
+        return self.closing is not None
+
+    def read(self, timeout: float | None = None) -> bool:
+        """Handle one pipe message if one arrives within ``timeout``
+        (``None`` waits for it); False if none did or the pipe is down."""
+        try:
+            if timeout is not None \
+                    and not self.poller.poll(timeout * 1000.0):
+                return False
+            msg = self.conn.recv()
+        except (EOFError, OSError):
+            self.down = True
+            return False
+        kind = msg[0]
+        if kind == "frame":
+            self.admit(*msg[1:5])
+        elif kind == "free":
+            for key, gen in msg[1]:
+                self.pool.free_slot(tuple(key), gen)
+        elif kind == "stats":
+            self.send(("stats", msg[1], self.stats_payload()))
+        elif kind == "pause":
+            self.paused = True
+        elif kind == "resume":
+            self.paused = False
+        elif kind == "release":
+            self.release()
+        elif kind == "close":
+            self.closing = bool(msg[1])
+        return True
+
+    def admit(self, rid: int, params: dict, headers: dict,
+              deadline_s: float | None) -> None:
+        timeline = Timeline(rid)
+        timeline.mark("submitted")
+        try:
+            inputs = {self.images_by_name[image]: self.inputs_map.view(h)
+                      for image, h in headers.items()}
+            values = {self.params_by_name[param]: value
+                      for param, value in params.items()}
+        except Exception as exc:  # noqa: BLE001 - bad header/params
+            self.send(("err", rid, "error",
+                       f"{type(exc).__name__}: {exc}", []))
+            return
+        deadline = Deadline.after(deadline_s) \
+            if deadline_s is not None else None
+        self.backlog.append(
+            _Request(values, inputs, deadline, Future(), timeline))
+        self.count("submitted")
+
+    def run_next(self) -> None:
+        """Run the oldest frame, coalesced with the batchable frames
+        right behind it once the pipe's readable messages are in."""
+        head = self.backlog.popleft()
+        self.mark_dequeued(head)
+        window = [head]
+        if self.batching_open():
+            while len(self.backlog) < self.max_batch - 1 \
+                    and self.read(0.0):
+                pass
+            while (self.backlog and len(window) < self.max_batch
+                   and self.batchable(head, self.backlog[0])):
+                window.append(self.backlog.popleft())
+                self.mark_dequeued(window[-1])
+        self.run_window(window)
+        for request in window:
+            self.ship(request)
+
+    def ship(self, request: _Request) -> None:
+        """Reply for one resolved request: output headers, or the error.
+        Its timeline ships as ``(dt, kind, fields)`` marks relative to
+        now, for the router to graft onto the client-facing one."""
+        rid = request.timeline.request_id
+        anchor = time.monotonic()
+        marks = [(event.ts - anchor, event.kind, event.fields)
+                 for event in request.timeline.events()]
+        exc = request.future.exception()
+        if exc is None:
+            frame = request.future.result()
+            self.send(("done", rid, self.export(frame.outputs),
+                       frame.backend, marks, frame.latency_s))
+        elif isinstance(exc, DeadlineExceeded):
+            self.send(("err", rid, "deadline", (exc.where, exc.overrun_s),
+                       marks))
+        else:
+            self.send(("err", rid, "error",
+                       f"{type(exc).__name__}: {exc}", marks))
+
+    def export(self, outputs: dict) -> dict:
+        """Hand the outputs' slots to the router as headers."""
+        leases = self.pool.export(outputs.values())
+        headers = {}
+        for out_name, array in outputs.items():
+            lease = leases.get(id(array))
+            if lease is None:
+                # defensive: an output that bypassed the pool gets
+                # staged into a fresh slot (counted — tests pin this
+                # path at zero)
+                lease = self.allocator.alloc(array.nbytes)
+                lease.ndarray(array.shape, array.dtype)[...] = array
+                leases[id(array)] = lease
+                self.copied_out += 1
+            headers[out_name] = lease.header(array.shape, array.dtype)
+        return headers
+
+    def stats_payload(self) -> dict:
+        return {
+            "stats": self.snapshot(len(self.backlog)).to_dict(),
+            "metrics": self.refresh_metrics(
+                queue_depth=len(self.backlog),
+                paused=1.0 if self.paused else 0.0).as_dict(),
+            "transport": self.allocator.stats(),
+            "copied_out": self.copied_out,
+            "build": self.build_provenance(),
+        }
 
 
 def worker_main(conn, plan_bytes: bytes, cfg: dict) -> None:
@@ -77,160 +251,35 @@ def worker_main(conn, plan_bytes: bytes, cfg: dict) -> None:
 
     ``conn`` is the shard's command pipe, ``plan_bytes`` the pickled
     ``(plan, name)`` pair, ``cfg`` the picklable knobs (token, shard
-    index, respawn generation, backend, threads, queue and batch
-    limits).  Runs until a ``close`` message or the pipe breaks (router
-    gone), then shuts the inner service down and exits.
+    index, respawn generation, backend, threads, batch limits).  Runs
+    until a ``close`` message or the pipe breaks (router gone).
     """
-    from repro.api import CompiledPipeline
-    from repro.serve.service import PipelineService
-
-    send_lock = threading.Lock()
-
-    def send(msg) -> bool:
-        with send_lock:
-            try:
-                conn.send(msg)
-                return True
-            except (BrokenPipeError, OSError):
-                return False
-
+    # locked: the build watcher thread sends too
+    send = partial(_send, conn, threading.Lock())
     try:
         plan, name = pickle.loads(plan_bytes)
-        compiled = CompiledPipeline(plan, name)
-        role = f"w{cfg['shard']}g{cfg['gen']}"
         allocator = SlabAllocator(
-            cfg["token"], role,
+            cfg["token"], f"w{cfg['shard']}g{cfg['gen']}",
             on_segment=lambda seg, size: send(("segment", seg, size)))
-        pool = ShmBufferPool(allocator)
-        inputs_map = SegmentMap()
-        service = PipelineService(
-            compiled,
-            workers=cfg.get("inner_workers", DEFAULT_INNER_WORKERS),
-            max_queue=cfg.get("max_queue", 64),
-            backend=cfg.get("backend", "auto"),
-            n_threads=cfg.get("n_threads", 1),
-            vectorize=cfg.get("vectorize", True),
-            pool=pool,
-            max_batch=cfg.get("max_batch", 8),
-            coalesce=cfg.get("coalesce", True),
-            build_kwargs=cfg.get("build_kwargs") or {},
-            name=f"{name}#{cfg['shard']}")
+        runner = _PipeRunner(conn, send, plan, f"{name}#{cfg['shard']}",
+                             cfg, allocator)
     except Exception:  # noqa: BLE001 - startup failure, report and die
         send(("fatal", traceback.format_exc()))
         conn.close()
         return
 
     send(("hello", os.getpid()))
-    params_by_name = {p.name: p for p in plan.estimates}
-    images_by_name = {img.name: img for img in plan.ir.graph.inputs}
-
-    if cfg.get("backend", "auto") == "interpreter":
+    if cfg["backend"] == "interpreter":
         send(("backend", "interpreter"))
     else:
-        def _announce_backend() -> None:
-            send(("backend", service.wait_ready()))
+        threading.Thread(
+            target=lambda: send(("backend", runner.wait_ready())),
+            daemon=True, name="repro-shard-build-watch").start()
 
-        threading.Thread(target=_announce_backend, daemon=True,
-                         name="repro-shard-build-watch").start()
-
-    copied_out = 0  # outputs that were not pool-backed (should be 0)
-
-    def _ship(rid: int, future) -> None:
-        """Completion callback: turn an inner-service result into a
-        header-only reply.  Runs on an inner worker thread."""
-        nonlocal copied_out
-        anchor = time.monotonic()
-        try:
-            frame = future.result()
-        except (Exception, CancelledError) as exc:  # noqa: BLE001 - relayed
-            marks = _relative_marks(getattr(exc, "timeline", None), anchor)
-            if isinstance(exc, DeadlineExceeded):
-                # ship the checkpoint name so the router's reason
-                # buckets stay as precise as the thread service's
-                send(("err", rid, "deadline", exc.where, marks))
-            elif isinstance(exc, CancelledError):
-                send(("err", rid, "cancelled", "cancelled", marks))
-            else:
-                send(("err", rid, "error",
-                      f"{type(exc).__name__}: {exc}", marks))
-            return
-        leases = pool.export(frame.outputs.values())
-        headers = {}
-        for out_name, array in frame.outputs.items():
-            lease = leases.get(id(array))
-            if lease is None:
-                # defensive: an output that bypassed the pool gets
-                # staged into a fresh slot (counted — tests pin this
-                # path at zero)
-                lease = allocator.alloc(array.nbytes)
-                staged = lease.ndarray(array.shape, array.dtype)
-                staged[...] = array
-                leases[id(array)] = lease
-                copied_out += 1
-            headers[out_name] = lease.header(array.shape, array.dtype)
-        marks = _relative_marks(frame.timeline(), anchor)
-        send(("done", rid, headers, frame.backend, marks,
-              frame.latency_s))
-
-    closing_drain = True
-    graceful = False
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            break  # router is gone; drain and exit
-        kind = msg[0]
-        if kind == "frame":
-            _rid, params, input_headers, deadline_s = msg[1:5]
-            try:
-                inputs = {images_by_name[image]: inputs_map.view(header)
-                          for image, header in input_headers.items()}
-                values = {params_by_name[param]: value
-                          for param, value in params.items()}
-                future = service.submit(values, inputs,
-                                        deadline_s=deadline_s)
-            except Overloaded as exc:
-                send(("err", _rid, "overloaded", str(exc), []))
-                continue
-            except ServiceClosed as exc:
-                send(("err", _rid, "closed", str(exc), []))
-                continue
-            except Exception as exc:  # noqa: BLE001 - bad header/params
-                send(("err", _rid, "error",
-                      f"{type(exc).__name__}: {exc}", []))
-                continue
-            future.add_done_callback(
-                lambda fut, rid=_rid: _ship(rid, fut))
-        elif kind == "free":
-            for key, gen in msg[1]:
-                pool.free_slot(tuple(key), gen)
-        elif kind == "stats":
-            payload = {
-                "stats": service.stats().to_dict(),
-                "metrics": service.metrics.as_dict(),
-                "transport": allocator.stats(),
-                "copied_out": copied_out,
-                "build": service.build_provenance(),
-            }
-            send(("stats", msg[1], payload))
-        elif kind == "pause":
-            service.pause()
-        elif kind == "resume":
-            service.resume()
-        elif kind == "release":
-            service.release()
-        elif kind == "close":
-            closing_drain = bool(msg[1])
-            graceful = True
-            break
-    try:
-        service.close(drain=closing_drain)
-    except Exception:  # noqa: BLE001 - exit anyway
-        pass
-    if graceful:
+    if runner.serve():
         send(("bye", allocator.segment_names()))
     allocator.close(unlink=False)  # the router owns every unlink
-    inputs_map.close()
+    runner.inputs_map.close()
     conn.close()
 
 
@@ -244,11 +293,10 @@ class WorkerHandle:
     """
 
     def __init__(self, ctx, plan_bytes: bytes, cfg: dict):
-        self.cfg = dict(cfg)
         self.role = f"w{cfg['shard']}g{cfg['gen']}"
         self.conn, child = ctx.Pipe()
         self.process = ctx.Process(
-            target=worker_main, args=(child, plan_bytes, self.cfg),
+            target=worker_main, args=(child, plan_bytes, dict(cfg)),
             daemon=True,
             name=f"repro-shard-{cfg['name']}-{self.role}")
         self._send_lock = threading.Lock()
@@ -257,36 +305,21 @@ class WorkerHandle:
 
     def send(self, msg) -> bool:
         """Best-effort send; False once the pipe is down."""
-        with self._send_lock:
-            try:
-                self.conn.send(msg)
-                return True
-            except (BrokenPipeError, OSError, ValueError):
-                return False
-
-    def alive(self) -> bool:
-        return self.process.is_alive()
+        return _send(self.conn, self._send_lock, msg)
 
     @property
     def pid(self) -> int | None:
         return self.process.pid
 
-    def join(self, timeout: float | None = None) -> None:
+    def stop(self, timeout: float) -> None:
+        """Give the process ``timeout`` seconds to exit, then escalate
+        (terminate, kill); the pipe is closed either way."""
         self.process.join(timeout)
-
-    def terminate(self) -> None:
-        try:
-            self.process.terminate()
-        except Exception:  # noqa: BLE001 - already gone
-            pass
-
-    def kill(self) -> None:
-        try:
-            self.process.kill()
-        except Exception:  # noqa: BLE001 - already gone
-            pass
-
-    def close_conn(self) -> None:
+        for escalate in (self.process.terminate, self.process.kill):
+            if not self.process.is_alive():
+                break
+            escalate()
+            self.process.join(2.0)
         try:
             self.conn.close()
         except OSError:

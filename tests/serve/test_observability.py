@@ -35,6 +35,7 @@ from repro.observe import Tracer, validate_chrome_trace
 from repro.observe.export import validate_exposition_text
 from repro.serve import (
     Deadline, DeadlineExceeded, PipelineService, ServiceStats,
+    ShardedService,
 )
 from repro.serve.service import STAGES, _timeout_reason
 
@@ -46,6 +47,18 @@ def interp_service(served, **kw):
     """A one-worker interpreter-only service (no build, deterministic)."""
     kw.setdefault("workers", 1)
     return PipelineService(served.compiled, backend="interpreter", **kw)
+
+
+def interp_router(served, **kw):
+    """The process-sharded twin of :func:`interp_service`: one worker
+    process, interpreter only."""
+    return ShardedService(served.compiled, workers=1,
+                          backend="interpreter", **kw)
+
+
+#: drop-reason contracts both tiers must keep identically
+both_tiers = pytest.mark.parametrize(
+    "make", [interp_service, interp_router], ids=["thread", "sharded"])
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +170,9 @@ def test_timeout_reason_classifier():
     assert _timeout_reason("group blur tile (0, 1)") == "in_execution"
 
 
-def test_queue_wait_expiry_reason(served):
-    with interp_service(served) as service:
+@both_tiers
+def test_queue_wait_expiry_reason(served, make):
+    with make(served) as service:
         service.pause()
         future = service.submit(served.values, served.input_for(0),
                                 deadline_s=30.0)
@@ -171,14 +185,17 @@ def test_queue_wait_expiry_reason(served):
         stats = service.stats()
     assert stats.timeouts == 1
     assert stats.timeouts_by_reason == {"queue_wait": 1}
-    # the timeline rides on the exception for post-mortem inspection
+    # the timeline rides on the exception for post-mortem inspection,
+    # and the overrun says by how much the budget was missed
     tl = err.value.timeline
     assert tl.last("dropped").fields["reason"] == "queue_wait"
+    assert err.value.overrun_s > 0.0
     assert "deadline-exceeded (queue_wait=1)" in str(stats)
 
 
-def test_paused_at_gate_reason(served):
-    with interp_service(served) as service:
+@both_tiers
+def test_paused_at_gate_reason(served, make):
+    with make(served) as service:
         service.pause()
         future = service.submit(served.values, served.input_for(0),
                                 deadline_s=0.05)
@@ -188,6 +205,8 @@ def test_paused_at_gate_reason(served):
         dropped = service.events(kind="dropped")
         service.resume()
     assert "paused at gate" in str(err.value)
+    assert err.value.timeline.last("dropped").fields["reason"] \
+        == "paused_at_gate"
     assert stats.timeouts_by_reason == {"paused_at_gate": 1}
     assert dropped[-1].fields["reason"] == "paused_at_gate"
     assert service.metrics.counter("timeouts_paused_at_gate") == 1

@@ -10,6 +10,7 @@ slice of the contract.  Worker-death fault injection lives in
 from __future__ import annotations
 
 import os
+import threading
 import time
 import urllib.request
 
@@ -18,8 +19,8 @@ import pytest
 
 from repro.codegen.build import compiler_available
 from repro.observe.export import validate_exposition_text
-from repro.serve import PipelineService, ShardedService
-from repro.serve.shm import live_segments
+from repro.serve import Overloaded, PipelineService, ShardedService
+from repro.serve.shm import SlabAllocator, live_segments
 
 from .conftest import make_served
 
@@ -130,13 +131,13 @@ def test_labeled_prometheus_exposition(served, router):
     assert 'le="' in text
 
 
-def test_sticky_spills_past_coalescing_window(served):
-    """Identical frames prefer one shard (coalescing) but must spread
-    once its backlog reaches the batch window — a uniform workload on a
-    sticky-only router would never scale."""
+def test_uniform_workload_lands_on_both_shards(served):
+    """Identical frames spread across the fleet: placement is least-
+    outstanding-work, so a uniform workload keeps both shards busy
+    instead of funnelling into one."""
     with ShardedService(served.compiled, workers=2,
                         backend="interpreter", max_queue=32,
-                        max_batch=2, name="spill_t") as service:
+                        name="spread_t") as service:
         service.wait_ready(timeout=120)
         service.pause()  # freeze workers so backlog is deterministic
         inputs = served.input_for(5)
@@ -152,9 +153,113 @@ def test_sticky_spills_past_coalescing_window(served):
             f"uniform workload stuck to one shard: {per_shard}"
 
 
+def test_admission_bound_holds_under_concurrent_submitters(served,
+                                                           monkeypatch):
+    """``max_queue`` is checked in the same lock hold that registers the
+    frame, so barrier-released submitters can never overshoot it.  A
+    slow input allocator widens the window between admission and
+    registration on purpose: a router that checks first and registers
+    after staging the pixels lets every submitter through the check."""
+    with ShardedService(served.compiled, workers=2,
+                        backend="interpreter", max_queue=4,
+                        name="admit_t") as service:
+        service.wait_ready(timeout=120)
+        service.pause()  # nothing completes while the submitters race
+        inputs = served.input_for(4)
+        barrier = threading.Barrier(16)
+        accepted, rejected = [], []
+
+        def submitter():
+            barrier.wait()
+            try:
+                accepted.append(service.submit(served.values, inputs))
+            except Overloaded:
+                rejected.append(True)
+
+        alloc = SlabAllocator.alloc
+
+        def slow_alloc(self, nbytes):
+            time.sleep(0.05)
+            return alloc(self, nbytes)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SlabAllocator, "alloc", slow_alloc)
+            threads = [threading.Thread(target=submitter)
+                       for _ in range(16)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        service.resume()
+        for future in accepted:
+            future.result(timeout=120).release()
+    assert len(accepted) == 4 and len(rejected) == 12, \
+        f"{len(accepted)} frames admitted past max_queue=4"
+
+
+def test_mixed_traffic_coalesces_only_matching_frames(served):
+    """Interleaved runs of two keys (parameter set + input shape) parked
+    in one paused worker: once resumed, coalesced batches form from the
+    parked frames (native backend) and never mix keys, and every output
+    equals a direct call."""
+    native = compiler_available()
+    small = {param: value - 12 for param, value in served.values.items()}
+    keys = [served.values, small]
+    pattern = [0, 0, 1, 1, 1, 0, 0, 0, 1, 0, 1, 1]
+    rng = np.random.default_rng(17)
+    frames = []
+    for key in pattern:
+        rows, cols = (keys[key][param] + 2 for param in served.values)
+        frames.append((key, {served.image: rng.random(
+            (rows, cols), dtype=np.float32)}))
+    direct = served.compiled.build() if native else served.compiled
+    with ShardedService(served.compiled, workers=1,
+                        backend="auto" if native else "interpreter",
+                        max_queue=32, name="mixed_t") as service:
+        assert service.wait_ready(timeout=240) \
+            == ("native" if native else "interpreter")
+        service.pause()
+        futures = [service.submit(keys[key], inputs)
+                   for key, inputs in frames]
+        service.resume()
+        batches: dict[int, set] = {}
+        for (key, inputs), future in zip(frames, futures):
+            with future.result(timeout=120) as frame:
+                assert np.array_equal(
+                    frame.outputs[served.out],
+                    direct(keys[key], inputs)[served.out])
+                mark = frame.timeline().last("worker_coalesced")
+                if mark is not None:
+                    batches.setdefault(mark.fields["batch_id"],
+                                       set()).add(key)
+        stats = service.stats()
+    assert all(len(members) == 1 for members in batches.values()), \
+        f"a coalesced batch mixed keys: {batches}"
+    if native:
+        assert stats.batched_frames > 0 and batches, \
+            "parked compatible frames were never coalesced"
+
+
+def test_held_outputs_survive_later_frames(served, router):
+    """Output slots stay leased while the client holds the frame: K
+    unreleased frames keep their pixels while 4K more are served (a slot
+    recycled too early would be overwritten by a later frame)."""
+    held = []
+    for seed in range(4):
+        frame = router.submit(served.values,
+                              served.input_for(200 + seed)).result(120)
+        held.append((frame, frame.outputs[served.out].copy()))
+    futures = [router.submit(served.values, served.input_for(300 + i))
+               for i in range(16)]
+    for future in futures:
+        future.result(timeout=120).release()
+    for frame, snapshot in held:
+        assert np.array_equal(frame.outputs[served.out], snapshot)
+        frame.release()
+
+
 def test_serve_processes_config(served):
-    service = served.compiled.serve(processes=1, backend="interpreter",
-                                    inner_workers=1)
+    service = served.compiled.serve(processes=1, backend="interpreter")
     try:
         assert isinstance(service, ShardedService)
         with service.run(served.values, served.input_for(1),
