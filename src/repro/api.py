@@ -118,9 +118,9 @@ class CompiledPipeline:
 
         ``processes=N`` (N ≥ 1) returns a
         :class:`~repro.serve.ShardedService` instead: the same
-        submit/Frame API served by N spawn-mode worker processes with
-        shared-memory frame transport, load balancing, worker respawn
-        and optional autoscaling (see :mod:`repro.serve.router`).
+        submit/Frame API served by a fixed fleet of N spawn-mode worker
+        processes with shared-memory frame transport, load balancing
+        and worker respawn (see :mod:`repro.serve.router`).
 
         ``store="ro"|"rw"`` consults the persistent schedule store
         (:mod:`repro.schedule`) during the background native build:

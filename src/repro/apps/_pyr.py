@@ -15,39 +15,13 @@ local Laplacian filter:
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.lang import Case, Condition, Expr, Float, Function, Interval
+from repro.lang import Expr, Interval
 from repro.lang.constructs import Variable
-from repro.lang.expr import Reference
 
 
 def level_interval(size_expr, level: int) -> Interval:
     """Domain interval ``[0, size / 2**level]`` (includes one pad cell)."""
     return Interval(0, size_expr / (2 ** level), 1)
-
-
-def down2(src, x: Variable, y: Variable) -> Expr:
-    """Separable [1,2,1]/4 x [1,2,1]/4 downsample expression at (x, y)."""
-    w = [1.0, 2.0, 1.0]
-    total: Expr | None = None
-    for i in range(3):
-        for j in range(3):
-            term = (w[i] * w[j] / 16.0) * src(2 * x + i - 1, 2 * y + j - 1)
-            total = term if total is None else total + term
-    return total
-
-
-def down2_c(src, c: Variable, x: Variable, y: Variable) -> Expr:
-    """Channel-carrying variant of :func:`down2`."""
-    w = [1.0, 2.0, 1.0]
-    total: Expr | None = None
-    for i in range(3):
-        for j in range(3):
-            term = (w[i] * w[j] / 16.0) * src(c, 2 * x + i - 1,
-                                              2 * y + j - 1)
-            total = term if total is None else total + term
-    return total
 
 
 def up2(src, x: Variable, y: Variable) -> Expr:
@@ -61,49 +35,3 @@ def up2_c(src, c: Variable, x: Variable, y: Variable) -> Expr:
     return (src(c, x // 2, y // 2) + src(c, (x + 1) // 2, y // 2)
             + src(c, x // 2, (y + 1) // 2)
             + src(c, (x + 1) // 2, (y + 1) // 2)) * 0.25
-
-
-def interior_condition(x: Variable, y: Variable, size_r, size_c,
-                       level: int):
-    """``1 <= x <= R/2^l - 1 & 1 <= y <= C/2^l - 1`` (zero-pad border)."""
-    return (Condition(x, ">=", 1)
-            & Condition(x, "<=", size_r / (2 ** level) - 1)
-            & Condition(y, ">=", 1)
-            & Condition(y, "<=", size_c / (2 ** level) - 1))
-
-
-# ---------------------------------------------------------------------------
-# NumPy reference counterparts (identical zero-pad semantics)
-# ---------------------------------------------------------------------------
-
-def ref_down2(src: np.ndarray) -> np.ndarray:
-    """Reference of a stage defined by :func:`down2` on the interior.
-
-    ``src`` has shape ``(S + 1, T + 1)`` for a level of size (S, T); the
-    result has shape ``(S // 2 + 1, T // 2 + 1)`` with zero borders.
-    """
-    S, T = src.shape[0] - 1, src.shape[1] - 1
-    out = np.zeros((S // 2 + 1, T // 2 + 1), dtype=src.dtype)
-    w = np.array([1.0, 2.0, 1.0], dtype=np.float64) / 4.0
-    xs = np.arange(1, S // 2)
-    ys = np.arange(1, T // 2)
-    if len(xs) == 0 or len(ys) == 0:
-        return out
-    acc = np.zeros((len(xs), len(ys)), dtype=np.float64)
-    for i in range(3):
-        for j in range(3):
-            acc += (w[i] * w[j]) * src[np.ix_(2 * xs + i - 1,
-                                              2 * ys + j - 1)]
-    out[1:S // 2, 1:T // 2] = acc.astype(src.dtype)
-    return out
-
-
-def ref_up2(src: np.ndarray, fine_shape: tuple[int, int]) -> np.ndarray:
-    """Reference of :func:`up2` over a full fine-level domain."""
-    S, T = fine_shape
-    x = np.arange(S)
-    y = np.arange(T)
-    x0, x1 = x // 2, (x + 1) // 2
-    y0, y1 = y // 2, (y + 1) // 2
-    return 0.25 * (src[np.ix_(x0, y0)] + src[np.ix_(x1, y0)]
-                   + src[np.ix_(x0, y1)] + src[np.ix_(x1, y1)])

@@ -255,10 +255,6 @@ class CompileCache:
             return CacheStats(self._stats.hits, self._stats.misses,
                               self._stats.evictions)
 
-    def reset_stats(self) -> None:
-        with self._lock:
-            self._stats = CacheStats()
-
     def _remove(self, so: Path) -> None:
         for path in (so, so.with_suffix(".c")):
             try:

@@ -328,14 +328,6 @@ class FastBody:
             self.load_decls.append(f"const {ctype} {name} = {access};")
         return name
 
-    @property
-    def n_hoisted(self) -> int:
-        return len(self._offsets)
-
-    @property
-    def n_loads_cse(self) -> int:
-        return len(self._loads)
-
 
 # ---------------------------------------------------------------------------
 # Reporting (explain()/summary())

@@ -45,13 +45,6 @@ class StageTransform:
     def ndim(self) -> int:
         return len(self.dim_map)
 
-    def group_scale(self, group_dim: int) -> Fraction | None:
-        """Scale of the stage dimension mapped to ``group_dim``."""
-        for d, g in enumerate(self.dim_map):
-            if g == group_dim:
-                return self.scales[d]
-        return None
-
     def stage_dim(self, group_dim: int) -> int | None:
         for d, g in enumerate(self.dim_map):
             if g == group_dim:

@@ -88,9 +88,6 @@ class CompileOptions:
         return CompileOptions(tile_sizes=tuple(tile_sizes),
                               overlap_threshold=overlap_threshold)
 
-    def with_tiles(self, tile_sizes: Sequence[int]) -> "CompileOptions":
-        return replace(self, tile_sizes=tuple(tile_sizes))
-
     def with_threshold(self, threshold: float) -> "CompileOptions":
         return replace(self, overlap_threshold=threshold)
 

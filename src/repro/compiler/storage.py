@@ -88,12 +88,3 @@ def storage_footprint(plan, param_values: Mapping) -> dict[str, int]:
     return {"full_bytes": full_bytes,
             "scratch_bytes": scratch_bytes,
             "unfused_bytes": unfused_bytes}
-
-
-def scratch_stage_names(decisions: Mapping[Stage, StorageDecision]
-                        ) -> set[str]:
-    return {s.name for s, d in decisions.items() if d.kind == SCRATCH}
-
-
-def full_buffer_count(decisions: Mapping[Stage, StorageDecision]) -> int:
-    return sum(1 for d in decisions.values() if d.kind == FULL)

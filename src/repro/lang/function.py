@@ -94,10 +94,6 @@ class Function:
             raise ValueError("a definition needs at least one case")
         self._defn = tuple(cases)
 
-    @property
-    def is_defined(self) -> bool:
-        return self._defn is not None
-
     # -- structure --------------------------------------------------------
     @property
     def ndim(self) -> int:
@@ -197,10 +193,6 @@ class Accumulator:
                 f"Accumulate target indexes {len(body.target.args)} "
                 f"dimensions; accumulator has {self.ndim}")
         self._defn = body
-
-    @property
-    def is_defined(self) -> bool:
-        return self._defn is not None
 
     @property
     def ndim(self) -> int:

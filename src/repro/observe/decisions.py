@@ -90,6 +90,3 @@ class DecisionLog:
         if not self.decisions:
             return "(no merge candidates were evaluated)"
         return "\n".join(d.render() for d in self.decisions)
-
-    def to_dicts(self) -> list[dict]:
-        return [d.to_dict() for d in self.decisions]

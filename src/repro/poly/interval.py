@@ -62,9 +62,6 @@ class IntInterval:
     def expand(self, left: int, right: int) -> "IntInterval":
         return IntInterval(self.lo - left, self.hi + right)
 
-    def clamp_to(self, other: "IntInterval") -> "IntInterval | None":
-        return self.intersect(other)
-
     # -- arithmetic -------------------------------------------------------
     def shift(self, delta: int) -> "IntInterval":
         return IntInterval(self.lo + delta, self.hi + delta)

@@ -182,14 +182,6 @@ class BufferPool:
                 "idle": sum(len(b) for b in self._free.values()),
             }
 
-    def reset_stats(self) -> None:
-        with self._lock:
-            self._hits = self._misses = 0
-
-    def idle_bytes(self) -> int:
-        with self._lock:
-            return sum(a.nbytes for b in self._free.values() for a in b)
-
     def drain(self) -> int:
         """Drop every idle array; returns how many were freed."""
         with self._lock:

@@ -30,13 +30,13 @@ and :meth:`PipelineService.serve_metrics` exposes them over HTTP in
 Prometheus text format.  See ``docs/internals.md`` §16–18.
 
 To scale past one process, :class:`ShardedService` serves the same
-``submit()``/``Frame`` contract from a fleet of spawn-mode worker
-processes, each running frames straight off its command pipe: pixels
-move through shared-memory slabs (:mod:`repro.serve.shm`), placement is
-least-outstanding-work, dead workers are respawned with their
-in-flight frames requeued-or-failed (never hung), and an optional
-:class:`AutoscaleConfig` grows/shrinks the fleet from queue-depth and
-p99 signals.  See ``docs/internals.md`` §20.
+``submit()``/``Frame`` contract from a fixed-size fleet of spawn-mode
+worker processes, each running frames straight off its command pipe:
+pixels move through shared-memory slabs (:mod:`repro.serve.shm`),
+placement is least-outstanding-work, and a dead worker is respawned
+with its in-flight frames requeued once, or failed with
+:class:`WorkerCrashed` when they were already requeued (never hung).
+See ``docs/internals.md`` §20.
 
 Demo: ``python -m repro.serve --app harris`` (``--workers N`` for the
 process-sharded tier).
@@ -45,15 +45,13 @@ process-sharded tier).
 from repro.serve.deadlines import Deadline, DeadlineExceeded
 from repro.serve.fallback import FallbackPolicy
 from repro.serve.queue import BoundedQueue, Overloaded, ServiceClosed
-from repro.serve.router import (
-    AutoscaleConfig, ShardedService, WorkerCrashed,
-)
+from repro.serve.router import ShardedService, WorkerCrashed
 from repro.serve.service import (
     STAGES, Frame, PipelineService, ServiceStats,
 )
 
 __all__ = [
-    "AutoscaleConfig", "BoundedQueue", "Deadline", "DeadlineExceeded",
+    "BoundedQueue", "Deadline", "DeadlineExceeded",
     "FallbackPolicy", "Frame", "Overloaded", "PipelineService",
     "STAGES", "ServiceClosed", "ServiceStats", "ShardedService",
     "WorkerCrashed",

@@ -55,7 +55,6 @@ class FallbackPolicy:
         #: reason -> count of fallback events ("build_failed",
         #: "load_failed", "native_error", "demoted")
         self._fallbacks: dict[str, int] = {}
-        self._last_error: BaseException | None = None
 
     # -- state ingestion ---------------------------------------------------
     def note_build_resolved(self, native, exc: BaseException | None):
@@ -87,7 +86,6 @@ class FallbackPolicy:
                     else "load_failed"
                 self._state = INTERPRETER
                 self._native = None
-                self._last_error = exc
                 self._fallbacks[reason] = self._fallbacks.get(reason, 0) + 1
         if exc is None:
             if promoted:
@@ -114,7 +112,6 @@ class FallbackPolicy:
         demoted for good.  Returns True when this error demoted it.
         """
         with self._lock:
-            self._last_error = exc
             self._fallbacks["native_error"] = \
                 self._fallbacks.get("native_error", 0) + 1
             self._consecutive_errors += 1
@@ -159,11 +156,6 @@ class FallbackPolicy:
     def native(self):
         with self._lock:
             return self._native
-
-    @property
-    def last_error(self) -> BaseException | None:
-        with self._lock:
-            return self._last_error
 
     def fallbacks(self) -> dict[str, int]:
         with self._lock:

@@ -13,22 +13,17 @@ GIL.  The router owns:
 * **Placement** — least-outstanding-work across live shards, so a
   frame goes to whichever worker is idle; coalescing forms inside each
   worker from the batchable frames already readable on its own pipe.
-* **Transport** — inputs are staged once into router-owned shared-
-  memory slabs (zero-copy when the caller fills a
-  :meth:`ShardedService.lease_input` array directly); outputs come back
-  as headers and are mapped as zero-copy views over the worker's
-  slabs.  Pixels never cross the command pipe (:mod:`repro.serve.shm`).
-* **Fault handling** — a receiver thread per shard notices a broken
-  pipe, reaps the dead worker's segments by name prefix, respawns a
-  replacement under a bumped generation, and *requeues* that shard's
-  in-flight frames onto live shards (inputs are router-owned, so no
-  pixel is re-copied); frames out of retries fail with
+* **Transport** — each input is staged once (one copy) into router-
+  owned shared-memory slabs; outputs come back as headers and are
+  mapped as zero-copy views over the worker's slabs.  Pixels never
+  cross the command pipe (:mod:`repro.serve.shm`).
+* **Fault handling** — the fleet has a fixed size.  A receiver thread
+  per shard notices a broken pipe, reaps the dead worker's segments by
+  name prefix, respawns a replacement under a bumped generation (paused
+  if the router is), and *requeues* that shard's in-flight frames onto
+  live shards (inputs are router-owned, so no pixel is re-copied).  A
+  frame is requeued at most once; a second death fails it with
   :class:`WorkerCrashed`.  Nothing ever hangs a ``Frame.result()``.
-* **Scaling** — an optional autoscaler grows the fleet when outstanding
-  work per shard (or the client-observed p99) stays above a high
-  watermark, and retires idle shards below a low watermark, with
-  consecutive-interval hysteresis in both directions
-  (:class:`AutoscaleConfig`).
 * **Observability** — :meth:`ShardedService.stats` merges per-worker
   :class:`~repro.serve.service.ServiceStats` (histograms bucket-exact
   via :meth:`~repro.observe.metrics.Histogram.merge`);
@@ -37,8 +32,8 @@ GIL.  The router owns:
   are grafted back onto each frame's router timeline as ``worker_*``
   events.
 
-See ``docs/internals.md`` §20 for the slab layout, the router state
-machine and the autoscaler signals.
+See ``docs/internals.md`` §20 for the slab layout and the router state
+machine.
 """
 
 from __future__ import annotations
@@ -65,8 +60,7 @@ from repro.serve.service import (
     stage_summaries,
 )
 from repro.serve.shm import (
-    SegmentMap, ShmBufferPool, SlabAllocator, live_segments, new_token,
-    unlink_segments,
+    SegmentMap, SlabAllocator, live_segments, new_token, unlink_segments,
 )
 from repro.serve.worker import WorkerHandle
 
@@ -82,33 +76,11 @@ class WorkerCrashed(RuntimeError):
             f"worker shard {shard} (pid {pid}) died mid-frame{extra}")
 
 
-@dataclasses.dataclass
-class AutoscaleConfig:
-    """Watermark autoscaler knobs (see the module docstring).
-
-    ``high_watermark``/``low_watermark`` are outstanding frames *per
-    live shard*; ``p99_high_ms`` optionally also triggers scale-up from
-    the router's client-observed latency window.  A signal must persist
-    ``up_after``/``down_after`` consecutive ``interval_s`` ticks before
-    the fleet changes, and scale-down only retires a shard that is
-    completely idle.
-    """
-
-    min_workers: int = 1
-    max_workers: int = 4
-    high_watermark: float = 4.0
-    low_watermark: float = 0.5
-    p99_high_ms: float | None = None
-    up_after: int = 2
-    down_after: int = 8
-    interval_s: float = 0.25
-
-
 class _Pending:
     """One frame in flight between router and a worker."""
 
     __slots__ = ("rid", "future", "params", "headers", "leases",
-                 "deadline", "timeline", "submitted_at", "retries",
+                 "deadline", "timeline", "submitted_at", "requeued",
                  "shard")
 
     def __init__(self, rid, future, params, headers, leases, deadline,
@@ -121,7 +93,7 @@ class _Pending:
         self.deadline = deadline
         self.timeline = timeline
         self.submitted_at = time.monotonic()
-        self.retries = 0
+        self.requeued = False  # the one requeue a worker death grants
         self.shard = -1
 
 
@@ -154,7 +126,6 @@ class _Shard:
         self.pending: dict[int, _Pending] = {}
         self.backend = BUILDING
         self.alive = False
-        self.draining = False
         self.bye = threading.Event()
         self.segments: set[str] = set()
         self.stats_events: dict[int, threading.Event] = {}
@@ -172,16 +143,10 @@ class ShardedService:
     where they mean the same thing; the ones that differ:
 
     ``workers``
-        Number of worker *processes* (shards) to start.
+        Number of worker *processes* (shards); a dead one is respawned,
+        so the fleet keeps this size.
     ``max_queue``
         Total in-flight frames the router admits across all shards.
-    ``shard_queue``
-        Per-shard in-flight cap; defaults to ``max_queue``.
-    ``max_retries``
-        Requeue budget per frame after a worker death (default 1).
-    ``autoscale``
-        :class:`AutoscaleConfig` (or a kwargs dict for one); ``None``
-        keeps the fleet fixed.
     """
 
     def __init__(self, compiled, *,
@@ -193,10 +158,6 @@ class ShardedService:
                  vectorize: bool = True,
                  max_batch: int = 8,
                  coalesce: bool = True,
-                 shard_queue: int | None = None,
-                 max_retries: int = 1,
-                 autoscale: AutoscaleConfig | Mapping | None = None,
-                 event_capacity: int = 4096,
                  events_path: str | Path | None = None,
                  build_kwargs: Mapping | None = None,
                  name: str | None = None):
@@ -221,20 +182,15 @@ class ShardedService:
             "build_kwargs": dict(build_kwargs or {}),
         }
         self._max_queue = max_queue
-        self._shard_queue = shard_queue if shard_queue is not None \
-            else max_queue
-        self._max_retries = max_retries
         self._ctx = get_context("spawn")
 
         # transport: router-owned input slabs (service-global — every
         # worker attaches, which is what makes requeue copy-free) and a
         # lazy map over the workers' announced output slabs
         self._input_alloc = SlabAllocator(self.token, "in")
-        self._input_pool = ShmBufferPool(self._input_alloc)
         self.segment_map = SegmentMap()
 
-        self._events = EventLog(capacity=event_capacity,
-                                sink=events_path)
+        self._events = EventLog(sink=events_path)
         self._metrics = MetricsRegistry()
         self._latency = LatencyWindow()
         self._rid = itertools.count()
@@ -245,30 +201,19 @@ class ShardedService:
             "timeouts": 0, "failures": 0, "cancelled": 0,
             "native_frames": 0, "interp_frames": 0,
             "requeued": 0, "worker_deaths": 0, "respawns": 0,
-            "input_copies": 0, "leased_inputs": 0,
-            "scale_ups": 0, "scale_downs": 0,
+            "input_copies": 0,
         }
         self._timeout_reasons: dict[str, int] = {}
         self._shards: dict[int, _Shard] = {}
         self._retired_stats: list[dict] = []
         self._metrics_server = None
+        self._paused = False  # under _lock: respawns inherit it
         self._closing = False
         self._closed = False
         self._close_lock = threading.Lock()
 
         for index in range(workers):
             self._spawn_shard(index)
-
-        self._autoscale = None
-        self._autoscale_thread = None
-        if autoscale is not None:
-            self._autoscale = autoscale if isinstance(
-                autoscale, AutoscaleConfig) else AutoscaleConfig(
-                    **dict(autoscale))
-            self._autoscale_thread = threading.Thread(
-                target=self._autoscale_loop, daemon=True,
-                name=f"repro-router-{self.name}-autoscale")
-            self._autoscale_thread.start()
 
     # -- bookkeeping -------------------------------------------------------
     def _count(self, key: str, n: int = 1) -> None:
@@ -284,10 +229,12 @@ class ShardedService:
             shard.gen += 1
             if shard.gen:
                 self._count("respawns")
-            cfg = dict(self._cfg, shard=index, gen=shard.gen)
+            # a worker spawned while paused starts paused, before it
+            # reads its first frame
+            cfg = dict(self._cfg, shard=index, gen=shard.gen,
+                       paused=self._paused)
             shard.handle = WorkerHandle(self._ctx, self._plan_bytes, cfg)
             shard.alive = True
-            shard.draining = False
             shard.bye = threading.Event()
             shard.fatal = None
             shard.backend = INTERPRETER \
@@ -338,7 +285,7 @@ class ShardedService:
 
     def _on_done(self, shard: _Shard, handle: WorkerHandle,
                  msg: tuple) -> None:
-        _, rid, headers, backend, marks, _worker_latency = msg
+        _, rid, headers, backend, marks = msg
         with self._lock:
             pending = shard.pending.pop(rid, None)
         if pending is None:
@@ -437,14 +384,13 @@ class ShardedService:
         if crash_looping:
             self._events.append("worker_disabled", None,
                                 shard=shard.index, fatal=shard.fatal)
-        if not closing and not shard.draining and not crash_looping:
+        if not closing and not crash_looping:
             self._spawn_shard(shard.index)
         for pending in orphans:
             alive_deadline = pending.deadline is None \
                 or not pending.deadline.expired()
-            if (not closing and pending.retries < self._max_retries
-                    and alive_deadline):
-                pending.retries += 1
+            if not closing and not pending.requeued and alive_deadline:
+                pending.requeued = True
                 if self._dispatch(pending):
                     self._count("requeued")
                     pending.timeline.mark("requeued",
@@ -463,8 +409,7 @@ class ShardedService:
     # -- placement ---------------------------------------------------------
     def _live(self) -> list[_Shard]:
         """Shards that take new frames (lock held)."""
-        return [s for s in self._shards.values()
-                if s.alive and not s.draining]
+        return [s for s in self._shards.values() if s.alive]
 
     def _outstanding(self) -> int:
         """Frames in flight across every shard (lock held)."""
@@ -478,9 +423,7 @@ class ShardedService:
         would leave the others idle.  Batches still form inside each
         worker whenever its own pipe holds several batchable frames.
         """
-        candidates = [s for s in self._live()
-                      if s.index not in exclude
-                      and len(s.pending) < self._shard_queue]
+        candidates = [s for s in self._live() if s.index not in exclude]
         if not candidates:
             return None
         return min(candidates, key=lambda s: (len(s.pending), s.index))
@@ -516,14 +459,6 @@ class ShardedService:
             exclude.add(shard.index)
 
     # -- submission --------------------------------------------------------
-    def lease_input(self, shape, dtype) -> np.ndarray:
-        """A writable input array backed by the router's shared-memory
-        slabs.  Fill it and pass it (the exact array) to :meth:`submit`
-        and the input path is zero-copy end to end; the slot recycles
-        automatically once the frame resolves.  Each leased array is
-        consumed by one submit."""
-        return self._input_pool.acquire(shape, dtype)
-
     def submit(self, param_values, inputs, *,
                deadline_s: float | None = None,
                deadline: Deadline | None = None) -> Future:
@@ -547,14 +482,9 @@ class ShardedService:
         for image, array in inputs.items():
             image_name = getattr(image, "name", image)
             array = np.ascontiguousarray(array)
-            lease = self._input_pool.export([array]).get(id(array))
-            if lease is not None:
-                self._count("leased_inputs")  # zero-copy path
-            else:
-                lease = self._input_alloc.alloc(max(array.nbytes, 1))
-                staged = lease.ndarray(array.shape, array.dtype)
-                staged[...] = array  # the one client-facing staging copy
-                self._count("input_copies")
+            lease = self._input_alloc.alloc(max(array.nbytes, 1))
+            lease.ndarray(array.shape, array.dtype)[...] = array
+            self._count("input_copies")
             headers[image_name] = lease.header(array.shape, array.dtype)
             leases.append(lease)
         pending = _Pending(rid, Future(), params, headers, leases,
@@ -583,56 +513,10 @@ class ShardedService:
             self._input_alloc.free(lease.key, lease.gen)
         pending.leases = []
 
-    # -- autoscaler --------------------------------------------------------
-    def _autoscale_loop(self) -> None:
-        cfg = self._autoscale
-        above = below = 0
-        while not self._closing:
-            time.sleep(cfg.interval_s)
-            if self._closing:
-                return
-            with self._lock:
-                live = self._live()
-                outstanding = sum(len(s.pending) for s in live)
-                n = len(live)
-            if n == 0:
-                continue
-            per_shard = outstanding / n
-            p99 = self._latency.percentile(99)
-            hot = per_shard >= cfg.high_watermark or (
-                cfg.p99_high_ms is not None and p99 >= cfg.p99_high_ms)
-            cold = per_shard <= cfg.low_watermark and not hot
-            above = above + 1 if hot else 0
-            below = below + 1 if cold else 0
-            if hot and above >= cfg.up_after and n < cfg.max_workers:
-                above = 0
-                with self._lock:
-                    index = max(self._shards) + 1 if self._shards else 0
-                # counted first: whoever sees the new shard sees the count
-                self._count("scale_ups")
-                self._spawn_shard(index)
-                self._events.append(
-                    "autoscale", None, action="up", workers=n + 1,
-                    per_shard=round(per_shard, 2), p99_ms=round(p99, 2))
-            elif cold and below >= cfg.down_after and n > cfg.min_workers:
-                below = 0
-                with self._lock:
-                    idle = [s for s in live if not s.pending and s.alive]
-                    if not idle:
-                        continue
-                    victim = max(idle, key=lambda s: s.index)
-                    victim.draining = True
-                    self._count("scale_downs")
-                    handle = victim.handle
-                handle.send(("close", True))
-                self._events.append(
-                    "autoscale", None, action="down", workers=n - 1,
-                    shard=victim.index)
-
     # -- introspection -----------------------------------------------------
     @property
     def workers(self) -> int:
-        """Live (non-draining) shard count right now."""
+        """Live shard count right now."""
         with self._lock:
             return len(self._live())
 
@@ -793,13 +677,10 @@ class ShardedService:
             "attached_segments": len(self.segment_map.names()),
             "live_segments": len(live_segments(self.token)),
             "input_copies": counts["input_copies"],
-            "leased_inputs": counts["leased_inputs"],
             "copied_out": copied_out,
             "requeued": counts["requeued"],
             "worker_deaths": counts["worker_deaths"],
             "respawns": counts["respawns"],
-            "scale_ups": counts["scale_ups"],
-            "scale_downs": counts["scale_downs"],
         }
 
     @property
@@ -850,17 +731,29 @@ class ShardedService:
     # -- flow control ------------------------------------------------------
     def pause(self) -> None:
         """Pause every shard (frames keep arriving and park in each
-        worker until :meth:`resume`)."""
+        worker until :meth:`resume`); a worker respawned meanwhile
+        starts paused."""
+        with self._lock:
+            self._paused = True
         self._broadcast(("pause",))
 
     def resume(self) -> None:
+        with self._lock:
+            self._paused = False
         self._broadcast(("resume",))
+
+    @property
+    def paused(self) -> bool:
+        with self._lock:
+            return self._paused
 
     def release(self) -> None:
         """Ask every shard to drop idle pooled buffers and arenas."""
         self._broadcast(("release",))
 
     def _broadcast(self, msg: tuple) -> None:
+        # pause/resume set the flag first: a worker spawned after that
+        # reads it, one spawned before is among the recipients
         with self._lock:
             handles = [s.handle for s in self._shards.values()
                        if s.alive and s.handle is not None]
@@ -909,9 +802,6 @@ class ShardedService:
         for shard in shards:
             if shard.receiver is not None:
                 shard.receiver.join(timeout=5.0)
-        if self._autoscale_thread is not None:
-            self._autoscale_thread.join(
-                timeout=self._autoscale.interval_s + 1.0)
         # the router owns every unlink: close its own slabs, then sweep
         # whatever any generation of any worker left behind
         self.segment_map.close()

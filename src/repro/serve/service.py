@@ -826,15 +826,10 @@ class PipelineService(FrameRunner):
         Chrome-trace async spans on the service tracer (deterministic:
         every ``round(1/rate)``-th request).  ``0`` (default) disables
         trace promotion; lifecycle events are captured regardless.
-    event_capacity:
-        Ring capacity of the service :class:`~repro.observe.events.
-        EventLog` (older events are evicted).
     events_path:
         Optional JSON-lines file every lifecycle event is streamed to
-        as it happens (the full history, beyond the bounded ring).
-    event_log:
-        Share an existing :class:`EventLog` instead of creating one
-        (overrides ``event_capacity``/``events_path``).
+        as it happens (the full history, beyond the service's bounded
+        :class:`~repro.observe.events.EventLog` ring).
     build_kwargs:
         Forwarded to :func:`repro.codegen.build.build_native`
         (``vectorize``, ``instrument``, ``cache_dir``, ...).
@@ -852,9 +847,7 @@ class PipelineService(FrameRunner):
                  coalesce: bool = True,
                  max_native_errors: int = 3,
                  sample_rate: float = 0.0,
-                 event_capacity: int = 4096,
                  events_path: str | Path | None = None,
-                 event_log: EventLog | None = None,
                  build_kwargs: Mapping | None = None,
                  name: str | None = None,
                  tracer: Tracer | None = None):
@@ -873,8 +866,7 @@ class PipelineService(FrameRunner):
             else (BufferPool() if pool else None),
             max_batch=max_batch, coalesce=coalesce,
             max_native_errors=max_native_errors,
-            events=event_log if event_log is not None else EventLog(
-                capacity=event_capacity, sink=events_path),
+            events=EventLog(sink=events_path),
             tracer=tracer, build_kwargs=build_kwargs)
         self.backend_mode = backend
         self.default_deadline_s = default_deadline_s

@@ -36,7 +36,7 @@ Protocol (worker → router)::
     ("hello", pid)                        # command loop is live
     ("segment", name, size)               # new output slab announced
     ("backend", state)                    # background build resolved
-    ("done", rid, {out: header}, backend, marks, latency_s)
+    ("done", rid, {out: header}, backend, marks)
     ("err",  rid, kind, detail, marks)    # kind: deadline | error | ...
                                           # deadline: (where, overrun_s)
     ("stats", seq, payload)
@@ -101,7 +101,7 @@ class _PipeRunner(FrameRunner):
         self.images_by_name = {img.name: img
                                for img in plan.ir.graph.inputs}
         self.backlog: deque[_Request] = deque()
-        self.paused = False
+        self.paused = cfg["paused"]  # a respawn under a paused router
         self.closing: bool | None = None  # the close message's drain flag
         self.down = False                 # the pipe broke (router gone)
         self.copied_out = 0  # outputs that were not pool-backed (should be 0)
@@ -209,7 +209,7 @@ class _PipeRunner(FrameRunner):
         if exc is None:
             frame = request.future.result()
             self.send(("done", rid, self.export(frame.outputs),
-                       frame.backend, marks, frame.latency_s))
+                       frame.backend, marks))
         elif isinstance(exc, DeadlineExceeded):
             self.send(("err", rid, "deadline", (exc.where, exc.overrun_s),
                        marks))
@@ -251,7 +251,8 @@ def worker_main(conn, plan_bytes: bytes, cfg: dict) -> None:
 
     ``conn`` is the shard's command pipe, ``plan_bytes`` the pickled
     ``(plan, name)`` pair, ``cfg`` the picklable knobs (token, shard
-    index, respawn generation, backend, threads, batch limits).  Runs
+    index, respawn generation, backend, threads, batch limits, whether
+    to start paused).  Runs
     until a ``close`` message or the pipe breaks (router gone).
     """
     # locked: the build watcher thread sends too

@@ -63,6 +63,12 @@ def _halo_region(plan: PipelinePlan, gp: GroupPlan, stage,
                  tile_box: tuple[IntInterval, ...],
                  dom: tuple[IntInterval, ...]
                  ) -> tuple[IntInterval, ...] | None:
+    """The halo-extended region the C backend evaluates for one tile.
+
+    Per stage dimension ``d`` on group dim ``g`` with scale ``s``:
+    ``[max(dom_lo, ceil((t_lo - left_g) / s)),
+       min(dom_hi, floor((t_hi + right_g) / s))]`` — ``None`` when empty.
+    """
     transforms = gp.transforms
     assert transforms is not None
     t = transforms[stage]
@@ -94,6 +100,7 @@ def _owned_region(plan: PipelinePlan, gp: GroupPlan, stage,
                   tile_box: tuple[IntInterval, ...],
                   dom: tuple[IntInterval, ...]
                   ) -> tuple[IntInterval, ...] | None:
+    """The sub-region a tile owns (writes to the full buffer)."""
     region = _halo_region(plan, gp, stage, tile_box, dom)
     if region is None:
         return None
@@ -111,33 +118,6 @@ def _owned_region(plan: PipelinePlan, gp: GroupPlan, stage,
             return None
         dims.append(IntInterval(lo, hi))
     return tuple(dims)
-
-
-def halo_region(plan: PipelinePlan, gp: GroupPlan, stage,
-                tile_box: tuple[IntInterval, ...],
-                env: Mapping[Hashable, int]
-                ) -> tuple[IntInterval, ...] | None:
-    """The halo-extended region the C backend evaluates for one tile.
-
-    Per stage dimension ``d`` on group dim ``g`` with scale ``s``:
-    ``[max(dom_lo, ceil((t_lo - left_g) / s)),
-       min(dom_hi, floor((t_hi + right_g) / s))]`` — ``None`` when empty.
-    """
-    dom = plan.ir[stage].domain.concretize(env)
-    if dom is None:
-        return None
-    return _halo_region(plan, gp, stage, tile_box, dom)
-
-
-def owned_region(plan: PipelinePlan, gp: GroupPlan, stage,
-                 tile_box: tuple[IntInterval, ...],
-                 env: Mapping[Hashable, int]
-                 ) -> tuple[IntInterval, ...] | None:
-    """The sub-region a tile owns (writes to the full buffer)."""
-    dom = plan.ir[stage].domain.concretize(env)
-    if dom is None:
-        return None
-    return _owned_region(plan, gp, stage, tile_box, dom)
 
 
 def _read_buckets(plan: PipelinePlan, gp: GroupPlan, members: set):

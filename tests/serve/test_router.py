@@ -76,22 +76,6 @@ def test_outputs_are_shared_memory_views(served, router):
         "worker staged output copies on the export path"
 
 
-def test_lease_input_is_zero_copy(served, router):
-    before = router.transport()
-    array = router.lease_input((served.rows + 2, served.cols + 2),
-                               np.float32)
-    rng = np.random.default_rng(123)
-    array[...] = rng.random(array.shape, dtype=np.float32)
-    ref = served.direct({served.image: array.copy()})
-    with router.submit(served.values,
-                       {served.image: array}).result(timeout=120) as frame:
-        assert np.array_equal(frame.outputs[served.out], ref)
-    after = router.transport()
-    assert after["leased_inputs"] == before["leased_inputs"] + 1
-    assert after["input_copies"] == before["input_copies"], \
-        "leased input was re-staged — zero-copy path not taken"
-
-
 def test_merged_stats_match_thread_service_shape(served, router):
     """stats() must speak the exact ServiceStats dialect of the thread
     service — same fields, same histogram buckets — so dashboards and
@@ -296,41 +280,6 @@ def test_warm_store_cold_start_skips_compiler(served, tmp_path):
     for shard in provenance.values():
         assert shard["loaded_from_store"] is True, provenance
         assert shard["compile_s"] == 0.0, provenance
-
-
-def test_autoscaler_grows_and_shrinks(served):
-    from repro.serve import AutoscaleConfig
-
-    config = AutoscaleConfig(min_workers=1, max_workers=2,
-                             high_watermark=2.0, low_watermark=0.5,
-                             up_after=2, down_after=4, interval_s=0.05)
-    with ShardedService(served.compiled, workers=1,
-                        backend="interpreter", max_queue=64,
-                        autoscale=config, name="scale_t") as service:
-        service.wait_ready(timeout=120)
-        service.pause()  # park a backlog to trip the high watermark
-        inputs = served.input_for(6)
-        futures = [service.submit(served.values, inputs)
-                   for _ in range(8)]
-        deadline = time.monotonic() + 60
-        while service.workers < 2 and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert service.workers == 2, "backlog never tripped a scale-up"
-        assert service.transport()["scale_ups"] >= 1
-        service.resume()
-        for future in futures:
-            future.result(timeout=120).release()
-        # idle fleet drains back down to min_workers
-        deadline = time.monotonic() + 60
-        while service.workers > 1 and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert service.workers == 1, "idle fleet never scaled down"
-        assert service.transport()["scale_downs"] >= 1
-        # and the shrunken fleet still serves correctly
-        with service.run(served.values, served.input_for(8),
-                         timeout=120) as frame:
-            assert np.array_equal(frame.outputs[served.out],
-                                  served.direct(served.input_for(8)))
 
 
 def test_differential_fuzz_through_router():

@@ -44,7 +44,7 @@ def resolve(future, timeout: float = 120.0):
 def router(served):
     service = ShardedService(served.compiled, workers=2,
                              backend="interpreter", max_queue=64,
-                             max_retries=1, name="fault_t")
+                             name="fault_t")
     token = service.token
     service.wait_ready(timeout=120)
     yield service
@@ -131,30 +131,72 @@ def test_kill9_mid_burst_never_hangs(served, router):
                 served.direct(served.input_for(seed)))
 
 
-def test_retry_budget_exhaustion_fails_cleanly(served):
-    """With max_retries=0 a death converts the shard's in-flight frames
-    into WorkerCrashed — quickly and loudly, never a hang."""
+def _only_pid(service):
+    with service._lock:
+        return next(iter(service._shards.values())).handle.pid
+
+
+def test_pause_survives_respawn(served):
+    """A worker respawned under a paused router starts paused: the
+    frames requeued onto it park until resume(), then complete
+    bit-identically."""
     service = ShardedService(served.compiled, workers=1,
                              backend="interpreter", max_queue=32,
-                             max_retries=0, name="budget_t")
+                             name="pause_t")
+    token = service.token
+    try:
+        service.wait_ready(timeout=120)
+        service.pause()
+        inputs = served.input_for(5)
+        futures = [service.submit(served.values, inputs)
+                   for _ in range(4)]
+        os.kill(_only_pid(service), signal.SIGKILL)
+        assert wait_until(lambda: service.transport()["requeued"] == 4), \
+            "the dead worker's frames were not requeued"
+        # the respawned worker answers a stats request sent after the
+        # requeued frames, so it has read all four off its pipe
+        shards = service.shard_stats(timeout=60)
+        assert shards[0].queue_depth == 4, shards
+        time.sleep(0.5)
+        assert not any(f.done() for f in futures), \
+            "the respawned worker ran frames while the router was paused"
+        assert service.paused and service.workers == 1
+        service.resume()
+        assert not service.paused
+        ref = served.direct(inputs)
+        for future in futures:
+            with future.result(timeout=120) as frame:
+                assert np.array_equal(frame.outputs[served.out], ref)
+    finally:
+        service.close()
+    assert live_segments(token) == []
+
+
+def test_retry_budget_exhaustion_fails_cleanly(served):
+    """A frame is requeued once: a second death while it is parked on
+    the respawned worker fails it with WorkerCrashed — quickly and
+    loudly, never a hang — and the fleet still recovers."""
+    service = ShardedService(served.compiled, workers=1,
+                             backend="interpreter", max_queue=32,
+                             name="budget_t")
     token = service.token
     try:
         service.wait_ready(timeout=120)
         service.pause()
         futures = [service.submit(served.values, served.input_for(3))
                    for _ in range(4)]
-        with service._lock:
-            pid = next(iter(service._shards.values())).handle.pid
-        os.kill(pid, signal.SIGKILL)
+        os.kill(_only_pid(service), signal.SIGKILL)
+        assert wait_until(lambda: service.transport()["requeued"] == 4), \
+            "the first death must requeue every parked frame"
+        os.kill(_only_pid(service), signal.SIGKILL)
         failures = 0
         for future in futures:
             try:
-                frame = future.result(timeout=120)
-                frame.release()
+                future.result(timeout=120).release()
             except WorkerCrashed:
                 failures += 1
         assert failures == len(futures), \
-            "max_retries=0 must fail every in-flight frame"
+            "a second death must fail every requeued frame"
         # the service is still usable on the respawned worker
         assert wait_until(lambda: service.workers == 1)
         service.resume()
