@@ -130,21 +130,16 @@ class CasePlan:
     drop_clamps: set[tuple[int, int]] = field(default_factory=set)
     #: ``id(BinOp)`` of ``//``/``%`` nodes emitted as native ``/`` ``%``
     reduce_divs: set[int] = field(default_factory=set)
-    # report counters
+    # report counters, per proof site: a node a tree shares at several
+    # sites is one key above but is emitted (and counted) at each
     n_clamped_dims: int = 0
+    n_dropped: int = 0
     n_divs: int = 0
+    n_reduced: int = 0
 
     @property
     def guarded(self) -> bool:
         return bool(self.conds)
-
-    @property
-    def n_dropped(self) -> int:
-        return len(self.drop_clamps)
-
-    @property
-    def n_reduced(self) -> int:
-        return len(self.reduce_divs)
 
 
 def _constant_extent(gen, producer, d: int) -> IntInterval | None:
@@ -221,11 +216,13 @@ def _analyze(gen, exprs, var_bounds: dict[int, tuple[str, str]],
             plan.n_clamped_dims += 1
             if _prove_within(gen, plan, arg, node.function, d, var_bounds):
                 plan.drop_clamps.add((id(node), d))
+                plan.n_dropped += 1
             continue
         plan.n_divs += 1
         rng = c_range(arg, gen, var_bounds)
         if rng is not None:
             plan.reduce_divs.add(id(node))
+            plan.n_reduced += 1
             _add_cond(plan, f"({rng[0]}) >= 0L")
     return plan
 

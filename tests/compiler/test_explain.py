@@ -6,6 +6,7 @@ overlap cost.  Every paper application must produce a non-trivial
 decision log (the acceptance property of the observability layer).
 """
 
+import dataclasses
 import hashlib
 import re
 
@@ -130,9 +131,9 @@ EXPLAIN_PIN = {
     "iunsharp":
         "a04ba6b3174fe7f65a2b4980229ece909b444b17ba8a6ebd42f5ba12cfc511d6",
     "local_laplacian":
-        "af8a0e67864022ad24c504e97a6489d7c377685f09a927d4dbe1645e42796174",
+        "fe4727de741033770662ffa37657fea620f2e5a75a778c981afdfda1c99f49ea",
     "pyramid_blend":
-        "d46a994fe1e725360f49dbca44d46503750aaac400536922ce570a04331c2dbb",
+        "c27f84742150ef149ddea186b96b2a07c0007ddb1b6617763f6ea3c6470b2ca6",
     "unsharp":
         "4208e61840eb7fb78a07d1d1ecca1be770ae937358da77905c4190b9cb5790fa",
 }
@@ -146,3 +147,22 @@ def test_summary_and_explain_match_pin(name):
                                 name=name)
     text = compiled.summary() + compiled.explain()
     assert hashlib.sha256(text.encode()).hexdigest() == EXPLAIN_PIN[name]
+
+
+def test_proof_counts_do_not_depend_on_node_sharing():
+    """The fast-path tallies count proof *sites*: bilateral without
+    inlining shares index nodes across its taps, and its C is the same
+    as the inlined build's, so its counts must be the same too."""
+    app = PAPER_APPS["bilateral"]()
+    lines = {}
+    for inline in (True, False):
+        options = dataclasses.replace(
+            CompileOptions.optimized(DEFAULT_TILES["bilateral"]),
+            inline=inline)
+        compiled = compile_pipeline(app.outputs, app.default_estimates,
+                                    options, name="bilateral")
+        lines[inline] = [line for line in compiled.explain().splitlines()
+                         if line.startswith("  bilateral: clamps")]
+    assert lines[True] == lines[False]
+    assert lines[True][0].startswith(
+        "  bilateral: clamps eliminated 24/24, divisions reduced 66/66")
