@@ -237,8 +237,9 @@ class ShardedService:
             shard.alive = True
             shard.bye = threading.Event()
             shard.fatal = None
-            shard.backend = INTERPRETER \
-                if self.backend_mode == "interpreter" else BUILDING
+            # building until the worker's hello: a shard is ready only
+            # once its command loop is live
+            shard.backend = BUILDING
             shard.spawned_at = time.monotonic()
             shard.receiver = threading.Thread(
                 target=self._receive_loop, args=(shard, shard.handle),
@@ -265,6 +266,9 @@ class ShardedService:
             elif kind == "segment":
                 with self._lock:
                     shard.segments.add(msg[1])
+            elif kind == "hello":
+                if self.backend_mode == "interpreter":
+                    shard.backend = INTERPRETER
             elif kind == "backend":
                 shard.backend = msg[1]
                 self._events.append("backend", None, shard=shard.index,

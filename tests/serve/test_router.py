@@ -137,6 +137,22 @@ def test_uniform_workload_lands_on_both_shards(served):
             f"uniform workload stuck to one shard: {per_shard}"
 
 
+def test_wait_ready_waits_for_the_interpreter_worker(served):
+    """An interpreter shard needs no build, but it is not ready before
+    its worker has started its command loop: right after
+    ``wait_ready()`` a stats round-trip gets the worker's own answer at
+    once, not the router's fallback (no payload has arrived yet)."""
+    with ShardedService(served.compiled, workers=1,
+                        backend="interpreter", name="ready_t") as service:
+        assert service.wait_ready(timeout=120) == "interpreter"
+        (shard,) = service._shards.values()
+        os.kill(shard.handle.pid, 0)  # the worker process is running
+        assert shard.last_stats is None
+        stats = service.shard_stats(timeout=0.25)
+        assert list(stats) == [0], "no live stats answer after wait_ready"
+        assert shard.last_stats is not None
+
+
 def test_admission_bound_holds_under_concurrent_submitters(served,
                                                            monkeypatch):
     """``max_queue`` is checked in the same lock hold that registers the
