@@ -113,17 +113,29 @@ class Expr:
         return ()
 
     def rebuild(self, fn: Callable[["Expr"], "Expr"]) -> "Expr":
-        """A new node of this kind whose direct value sub-expressions
-        (a ``Select``'s condition operands included) are ``fn`` of the
-        old ones; a leaf returns itself.  Every tree rewrite is built
-        on this one structural copy."""
+        """A node of this kind whose direct value sub-expressions (a
+        ``Select``'s condition operands included) are ``fn`` of the old
+        ones.  When ``fn`` returns every child itself, the node returns
+        itself too (a leaf always does), so a rewrite that changes
+        nothing allocates nothing and callers can test ``new is old``.
+        Every tree rewrite is built on this one structural copy."""
         return self
 
     def substitute(self, mapping: dict["Expr", "Expr"]) -> "Expr":
-        """Return a copy with occurrences of keys replaced by values."""
+        """Return a copy with occurrences of keys replaced by values
+        (``self`` when no key occurs)."""
         def sub(e: Expr) -> Expr:
             return mapping[e] if e in mapping else e.rebuild(sub)
         return sub(self)
+
+
+def _rebuilt(args: tuple[Expr, ...], fn) -> list[Expr] | None:
+    """``fn`` of each of ``args``, or ``None`` when it returned them all
+    unchanged."""
+    new = [fn(a) for a in args]
+    if all(a is b for a, b in zip(new, args)):
+        return None
+    return new
 
 
 class Literal(Expr):
@@ -158,7 +170,10 @@ class BinOp(Expr):
         return (self.left, self.right)
 
     def rebuild(self, fn):
-        return BinOp(self.op, fn(self.left), fn(self.right))
+        left, right = fn(self.left), fn(self.right)
+        if left is self.left and right is self.right:
+            return self
+        return BinOp(self.op, left, right)
 
     def __repr__(self) -> str:
         return f"({self.left!r} {self.op} {self.right!r})"
@@ -179,7 +194,8 @@ class UnOp(Expr):
         return (self.operand,)
 
     def rebuild(self, fn):
-        return UnOp(self.op, fn(self.operand))
+        operand = fn(self.operand)
+        return self if operand is self.operand else UnOp(self.op, operand)
 
     def __repr__(self) -> str:
         return f"(-{self.operand!r})"
@@ -200,7 +216,8 @@ class Call(Expr):
         return self.args
 
     def rebuild(self, fn):
-        return Call(self.name, [fn(a) for a in self.args])
+        args = _rebuilt(self.args, fn)
+        return self if args is None else Call(self.name, args)
 
     def __repr__(self) -> str:
         return f"{self.name}({', '.join(map(repr, self.args))})"
@@ -221,7 +238,8 @@ class Cast(Expr):
         return (self.operand,)
 
     def rebuild(self, fn):
-        return Cast(self.dtype, fn(self.operand))
+        operand = fn(self.operand)
+        return self if operand is self.operand else Cast(self.dtype, operand)
 
     def __repr__(self) -> str:
         return f"Cast({self.dtype}, {self.operand!r})"
@@ -244,8 +262,12 @@ class Select(Expr):
             self.condition.value_children())
 
     def rebuild(self, fn):
-        return Select(self.condition.rebuild(fn), fn(self.true_expr),
-                      fn(self.false_expr))
+        condition = self.condition.rebuild(fn)
+        true_expr, false_expr = fn(self.true_expr), fn(self.false_expr)
+        if (condition is self.condition and true_expr is self.true_expr
+                and false_expr is self.false_expr):
+            return self
+        return Select(condition, true_expr, false_expr)
 
     def __repr__(self) -> str:
         return (f"Select({self.condition!r}, {self.true_expr!r}, "
@@ -265,7 +287,8 @@ class Reference(Expr):
         return self.args
 
     def rebuild(self, fn):
-        return Reference(self.function, [fn(a) for a in self.args])
+        args = _rebuilt(self.args, fn)
+        return self if args is None else Reference(self.function, args)
 
     def __repr__(self) -> str:
         return f"{self.function.name}({', '.join(map(repr, self.args))})"
@@ -298,8 +321,9 @@ class BoolExpr:
         return ()
 
     def rebuild(self, fn: Callable[[Expr], Expr]) -> "BoolExpr":
-        """A copy of this condition tree with ``fn`` applied to each
-        comparison operand (see :meth:`Expr.rebuild`)."""
+        """This condition tree with ``fn`` applied to each comparison
+        operand; ``self`` when no operand changes (see
+        :meth:`Expr.rebuild`)."""
         return self
 
     def substitute(self, mapping: dict[Expr, Expr]) -> "BoolExpr":
@@ -330,7 +354,10 @@ class Condition(BoolExpr):
         return (self.lhs, self.rhs)
 
     def rebuild(self, fn):
-        return Condition(fn(self.lhs), self.op, fn(self.rhs))
+        lhs, rhs = fn(self.lhs), fn(self.rhs)
+        if lhs is self.lhs and rhs is self.rhs:
+            return self
+        return Condition(lhs, self.op, rhs)
 
     def __repr__(self) -> str:
         return f"({self.lhs!r} {self.op} {self.rhs!r})"
@@ -350,7 +377,10 @@ class CondAnd(BoolExpr):
             self.right.value_children())
 
     def rebuild(self, fn):
-        return CondAnd(self.left.rebuild(fn), self.right.rebuild(fn))
+        left, right = self.left.rebuild(fn), self.right.rebuild(fn)
+        if left is self.left and right is self.right:
+            return self
+        return CondAnd(left, right)
 
     def conjuncts(self):
         yield from self.left.conjuncts()
@@ -374,7 +404,10 @@ class CondOr(BoolExpr):
             self.right.value_children())
 
     def rebuild(self, fn):
-        return CondOr(self.left.rebuild(fn), self.right.rebuild(fn))
+        left, right = self.left.rebuild(fn), self.right.rebuild(fn)
+        if left is self.left and right is self.right:
+            return self
+        return CondOr(left, right)
 
     def __repr__(self) -> str:
         return f"({self.left!r} | {self.right!r})"
@@ -392,7 +425,8 @@ class CondNot(BoolExpr):
         return tuple(self.operand.value_children())
 
     def rebuild(self, fn):
-        return CondNot(self.operand.rebuild(fn))
+        operand = self.operand.rebuild(fn)
+        return self if operand is self.operand else CondNot(operand)
 
     def __repr__(self) -> str:
         return f"(~{self.operand!r})"

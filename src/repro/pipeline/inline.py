@@ -18,7 +18,15 @@ A producer is inlined when all of the following hold:
 
 The pass is purely functional: user stage objects are never mutated.
 Stages whose definitions change are *cloned*, and every downstream
-reference is redirected to the clone.
+reference is redirected to the clone.  Every other stage survives as
+the very same object: :meth:`~repro.lang.expr.Expr.rebuild` returns a
+node itself when none of its children changed, so a stage counts as
+changed only when a reference in it was folded or retargeted, and only
+the nodes on the path to such a reference are new.  A pass that folds
+nothing returns the original pipeline, and the plan's
+:class:`~repro.pipeline.ir.PipelineIR` is built with
+``reuse=result.ir``: kept stages, and the unchanged conditions and
+index expressions of clones, keep the lowering this pass already did.
 """
 
 from __future__ import annotations
@@ -26,12 +34,11 @@ from __future__ import annotations
 from typing import Callable, Mapping
 
 from repro.lang.constructs import Case, Parameter
-from repro.lang.expr import Expr, Reference, TrueCond
+from repro.lang.expr import Expr, Reference
 from repro.lang.function import Accumulate, Accumulator, Function
-from repro.lang.image import Image
 from repro.pipeline.graph import PipelineGraph, Stage
 from repro.pipeline.ir import PipelineIR, StageIR
-from repro.poly.interval import IntInterval, evaluate_access
+from repro.poly.interval import evaluate_access
 
 
 def rewrite_expr(expr: Expr,
@@ -121,13 +128,24 @@ class InlineResult:
 
     def __init__(self, outputs: tuple[Stage, ...],
                  replacements: dict[Stage, Stage],
-                 inlined: tuple[Stage, ...]):
+                 inlined: tuple[Stage, ...], ir: PipelineIR):
         #: Live-out stages of the rewritten pipeline (clones where needed).
         self.outputs = outputs
         #: original stage -> surviving (possibly cloned) stage
         self.replacements = replacements
         #: original stages that were folded away
         self.inlined = inlined
+        #: the IR of the *original* pipeline the pass decided on; the
+        #: rewritten pipeline's IR reuses its lowering
+        #: (``PipelineIR(graph, reuse=result.ir)``)
+        self.ir = ir
+
+    @property
+    def changed(self) -> bool:
+        """False when the pass folded nothing and cloned nothing: the
+        rewritten pipeline is the original, stage for stage."""
+        return bool(self.inlined) or any(
+            new is not old for old, new in self.replacements.items())
 
 
 def inline_pipeline(outputs, estimates: Mapping[Parameter, int],
@@ -151,37 +169,29 @@ def inline_pipeline(outputs, estimates: Mapping[Parameter, int],
     # surviving original stage -> clone (or itself when unchanged)
     survivors: dict[Stage, Stage] = {}
 
-    def make_rewriter(self_stage: Stage | None, self_clone: Stage | None):
-        def on_reference(ref: Reference) -> Expr | None:
-            producer = ref.function
-            if isinstance(producer, Image):
-                return None
-            if producer is self_stage and self_clone is not None:
-                return Reference(self_clone, ref.args)
-            if producer in bodies:
-                return bodies[producer].substitute(
-                    dict(zip(producer.variables, ref.args)))
-            replacement = survivors.get(producer)
-            if replacement is not None and replacement is not producer:
-                return Reference(replacement, ref.args)
-            return None
-        return lambda e: rewrite_expr(e, on_reference)
+    def on_reference(ref: Reference) -> Expr | None:
+        producer = ref.function
+        if producer in bodies:
+            return bodies[producer].substitute(
+                dict(zip(producer.variables, ref.args)))
+        replacement = survivors.get(producer)
+        if replacement is not None and replacement is not producer:
+            return Reference(replacement, ref.args)
+        return None  # an image, an unchanged stage, or a self-reference
+
+    def rewrite(e: Expr) -> Expr:
+        return rewrite_expr(e, on_reference)
 
     for stage in graph.topological_order():
-        stage_ir = ir[stage]
         if stage in inlinable:
-            case = stage.defn[0]
-            bodies[stage] = make_rewriter(None, None)(case.expression)
+            bodies[stage] = rewrite(stage.defn[0].expression)
             continue
         if isinstance(stage, Accumulator):
-            rewriter = make_rewriter(None, None)
-            new_target_args = [rewriter(a) for a in stage.defn.target.args]
-            new_value = rewriter(stage.defn.value)
-            changed = not (
-                all(a is b for a, b in zip(new_target_args,
-                                           stage.defn.target.args))
-                and new_value is stage.defn.value)
-            if not changed:
+            target_args = stage.defn.target.args
+            new_target_args = [rewrite(a) for a in target_args]
+            new_value = rewrite(stage.defn.value)
+            if (new_value is stage.defn.value and all(
+                    a is b for a, b in zip(new_target_args, target_args))):
                 survivors[stage] = stage
                 continue
             clone = Accumulator(
@@ -194,25 +204,27 @@ def inline_pipeline(outputs, estimates: Mapping[Parameter, int],
             continue
 
         # Ordinary function: rewrite all cases; clone if anything changed.
-        clone = Function(varDom=(list(stage.variables), list(stage.intervals)),
-                         typ=stage.dtype, name=stage.name)
-        rewriter = make_rewriter(stage, clone)
-        new_cases = []
-        changed = False
-        for case in stage.defn:
-            new_cond = case.condition.rebuild(rewriter)
-            new_expr = rewriter(case.expression)
-            if new_cond is not case.condition or new_expr is not case.expression:
-                changed = True
-            new_cases.append(Case(new_cond, new_expr)
-                             if not isinstance(new_cond, TrueCond)
-                             else Case(TrueCond(), new_expr))
-        if not changed:
+        new_cases = [(case.condition.rebuild(rewrite),
+                      rewrite(case.expression)) for case in stage.defn]
+        if all(cond is case.condition and expr is case.expression
+               for (cond, expr), case in zip(new_cases, stage.defn)):
             survivors[stage] = stage
             continue
-        clone.defn = new_cases
+        clone = Function(varDom=(list(stage.variables), list(stage.intervals)),
+                         typ=stage.dtype, name=stage.name)
+        if stage in graph.self_referential:
+            # the clone's own earlier values are the clone's, not the
+            # original's
+            def own(ref: Reference) -> Expr | None:
+                return Reference(clone, ref.args) \
+                    if ref.function is stage else None
+
+            def retarget(e: Expr) -> Expr:
+                return rewrite_expr(e, own)
+            new_cases = [(cond.rebuild(retarget), retarget(expr))
+                         for cond, expr in new_cases]
+        clone.defn = [Case(cond, expr) for cond, expr in new_cases]
         survivors[stage] = clone
 
     new_outputs = tuple(survivors[out] for out in graph.outputs)
-    return InlineResult(new_outputs, survivors, tuple(bodies))
-
+    return InlineResult(new_outputs, survivors, tuple(bodies), ir)

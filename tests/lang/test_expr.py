@@ -199,3 +199,37 @@ def test_true_cond_repr_and_conjuncts():
     t = TrueCond()
     assert list(t.conjuncts()) == [t]
     assert repr(t) == "True"
+
+
+def _every_node_kind():
+    """One node of every ``Expr`` and ``BoolExpr`` kind, with children."""
+    x, y = Variable("x"), Variable("y")
+    R = Parameter(Int, "R")
+    I = Image(Float, [R], name="I")
+    cond = Condition(x, ">=", 1)
+    exprs = [Literal(3), x, R, x + 1, -x, Min(x, y), Cast(Int, x * 2),
+             Select(cond & (y < R), x, y), I(x // 2)]
+    conds = [cond, cond & (y < R), cond | (y < R), ~cond, TrueCond()]
+    return exprs, conds
+
+
+def test_identity_rebuild_returns_the_node():
+    exprs, conds = _every_node_kind()
+    for node in [*exprs, *conds]:
+        assert node.rebuild(lambda e: e) is node, node
+
+
+def test_rebuild_copies_only_the_changed_path():
+    x, y = Variable("x"), Variable("y")
+    kept = Min(y, 2)
+    e = kept + x * 3
+    e2 = e.substitute({x: y})
+    assert e2 is not e and e2.right is not e.right
+    assert e2.left is kept  # the untouched subtree is shared, not copied
+    assert e2.right.left is y and e.right.left is x  # the original intact
+
+
+def test_substitute_with_nothing_to_replace_returns_self():
+    exprs, conds = _every_node_kind()
+    for node in [*exprs, *conds]:
+        assert node.substitute({}) is node, node
