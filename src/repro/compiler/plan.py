@@ -310,6 +310,7 @@ def compile_plan(outputs: Sequence[Stage],
     with tracer.span("compile_plan", cat="compiler") as root:
         with tracer.span("inline", cat="compiler") as sp:
             hint_inline = set(hints.inline) if hints is not None else set()
+            inlined = None
             if options.inline or hint_inline:
                 # an inline hint restricts the pass to the named stages
                 # (and runs it even when options.inline is off)
@@ -324,8 +325,15 @@ def compile_plan(outputs: Sequence[Stage],
             sp.set(inlined=len(inlined_names))
 
         with tracer.span("bounds_check", cat="compiler"):
-            graph = PipelineGraph(plan_outputs)
-            ir = PipelineIR(graph)
+            # one lowering per compile: the plan's IR is inlining's when
+            # the pass changed nothing, else it reuses inlining's
+            # lowering of every stage and expression that survived as is
+            if inlined is not None and not inlined.changed:
+                ir = inlined.ir
+            else:
+                ir = PipelineIR(PipelineGraph(plan_outputs),
+                                reuse=inlined.ir if inlined else None)
+            graph = ir.graph
             check_bounds(ir, estimates)
 
         if options.group:

@@ -63,11 +63,15 @@ def _producer_box(ir: PipelineIR, producer) -> ParametricBox | None:
 def _check_access(ir: PipelineIR, consumer: StageIR, access: AccessInfo,
                   var_env: dict[Hashable, IntInterval | int],
                   estimates: Mapping[Parameter, int],
-                  violations: list[BoundsViolation]) -> None:
-    producer_box = _producer_box(ir, access.producer)
-    if producer_box is None:
-        return
-    domain = producer_box.concretize(estimates)
+                  violations: list[BoundsViolation],
+                  domains: dict) -> None:
+    # a producer's box is concretized once per check, not once per tap
+    producer = access.producer
+    if producer not in domains:
+        producer_box = _producer_box(ir, producer)
+        domains[producer] = None if producer_box is None else \
+            producer_box.concretize(estimates)
+    domain = domains[producer]
     if domain is None:
         return
     for dim, form in enumerate(access.forms):
@@ -116,6 +120,7 @@ def collect_bounds_violations(
     ``RV101`` diagnostic instead of aborting compilation.
     """
     violations: list[BoundsViolation] = []
+    domains: dict = {}  # producer -> its concrete box (None: no box)
     for stage_ir in ir.ordered():
         base_env: dict[Hashable, IntInterval | int] = dict(estimates)
         if stage_ir.is_accumulator:
@@ -128,7 +133,8 @@ def collect_bounds_violations(
             env.update(zip(stage_ir.variables, var_box))
             env.update(zip(stage_ir.stage.red_variables, red_box))
             for access in stage_ir.accesses:
-                _check_access(ir, stage_ir, access, env, estimates, violations)
+                _check_access(ir, stage_ir, access, env, estimates,
+                              violations, domains)
             continue
         for case in stage_ir.cases:
             case_box = case.box.concretize(estimates)
@@ -136,16 +142,16 @@ def collect_bounds_violations(
                 continue  # empty under estimates: nothing to evaluate
             env = dict(base_env)
             env.update(zip(stage_ir.variables, case_box))
-            case_refs = {id(r.reference) for r in _case_accesses(stage_ir, case)}
-            for access in stage_ir.accesses:
-                if id(access.reference) not in case_refs:
-                    continue
-                _check_access(ir, stage_ir, access, env, estimates, violations)
+            for access in _case_accesses(stage_ir, case):
+                _check_access(ir, stage_ir, access, env, estimates,
+                              violations, domains)
     return violations
 
 
 def _case_accesses(stage_ir: StageIR, case) -> list[AccessInfo]:
     """Accesses whose reference occurs in this particular case."""
+    if len(stage_ir.cases) == 1:
+        return list(stage_ir.accesses)  # the only case holds them all
     from repro.lang.expr import condition_references, references
     refs = {id(r) for r in references(case.expression)}
     refs |= {id(r) for r in condition_references(case.condition)}

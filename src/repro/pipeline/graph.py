@@ -59,6 +59,8 @@ class PipelineGraph:
         self._dag = nx.DiGraph()
         self.inputs: list[Image] = []
         self.self_referential: set[Stage] = set()
+        # each stage's stage_references(), walked once by discovery
+        self._references: dict[Stage, list[Reference]] = {}
         self._discover()
         # The DAG never changes after discovery, so the level map, the
         # topological order and each stage's position in it are facts of
@@ -81,7 +83,8 @@ class PipelineGraph:
                 continue
             discovered.add(stage)
             self._dag.add_node(stage)
-            for ref in stage_references(stage):
+            refs = self._references[stage] = stage_references(stage)
+            for ref in refs:
                 producer = ref.function
                 if isinstance(producer, Image):
                     if id(producer) not in seen_inputs:
@@ -140,6 +143,10 @@ class PipelineGraph:
 
     def level(self, stage: Stage) -> int:
         return self._levels[stage]
+
+    def references(self, stage: Stage) -> list[Reference]:
+        """:func:`stage_references` of a stage of this graph."""
+        return self._references[stage]
 
     def topological_order(self) -> list[Stage]:
         """Stages in a producer-before-consumer order, stable by level."""

@@ -9,15 +9,15 @@ operate on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from repro.lang.constructs import Case, Parameter, Variable
 from repro.lang.expr import BoolExpr, Expr, Reference
 from repro.lang.function import Accumulate, Accumulator, Function
 from repro.lang.image import Image
-from repro.pipeline.graph import PipelineGraph, Stage, stage_references
+from repro.pipeline.graph import PipelineGraph, Stage
 from repro.poly.affine import AccessForm, analyze_access
 from repro.poly.interval import IntInterval, evaluate_access
 from repro.poly.iset import ParametricBox, SplitCondition, split_condition
@@ -191,20 +191,49 @@ def _summarize_edge(consumer_ir: StageIR, producer: Stage) -> EdgeSummary:
                        tuple(hulls), tuple(const_taps))
 
 
-def lower_stage(stage: Stage, graph: PipelineGraph) -> StageIR:
-    """Lower one DSL stage into its IR form."""
-    domain = ParametricBox.from_intervals(stage.variables, stage.intervals)
+def _same(a, b) -> bool:
+    """Element-wise identity of two sequences."""
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+
+
+def lower_stage(stage: Stage, graph: PipelineGraph,
+                index_form: Callable[[Expr], AccessForm | None] =
+                analyze_access,
+                like: StageIR | None = None) -> StageIR:
+    """Lower one DSL stage into its IR form.
+
+    ``index_form`` classifies one index expression (a
+    :class:`PipelineIR` passes its memo, so each index object is
+    analysed once).  ``like`` is an earlier lowering of a stage this
+    one was cloned from: when the two have the very same variables and
+    intervals, its domain boxes are taken, and so are the split and
+    tightened box of every condition object the clone kept.
+    """
+    same = (like is not None and type(like.stage) is type(stage)
+            and _same(like.stage.variables, stage.variables)
+            and _same(like.stage.intervals, stage.intervals))
+    domain = like.domain if same else ParametricBox.from_intervals(
+        stage.variables, stage.intervals)
     cases: list[CaseIR] = []
     reduction_domain = None
     accumulate = None
     if isinstance(stage, Accumulator):
-        reduction_domain = ParametricBox.from_intervals(
-            stage.red_variables, stage.red_intervals)
+        same = same and _same(like.stage.red_variables, stage.red_variables) \
+            and _same(like.stage.red_intervals, stage.red_intervals)
+        reduction_domain = like.reduction_domain if same else \
+            ParametricBox.from_intervals(stage.red_variables,
+                                         stage.red_intervals)
         accumulate = stage.defn
     else:
+        # the earlier CaseIRs hold their conditions, so the ids are theirs
+        known = {id(c.condition): c for c in like.cases} if same else {}
         for case in stage.defn:
-            split = split_condition(case.condition)
-            box = domain.tighten(split.bounds)
+            old = known.get(id(case.condition))
+            if old is not None:
+                split, box = old.split, old.box
+            else:
+                split = split_condition(case.condition)
+                box = domain.tighten(split.bounds)
             cases.append(CaseIR(case.condition, case.expression, split, box))
     return StageIR(
         stage=stage,
@@ -214,8 +243,8 @@ def lower_stage(stage: Stage, graph: PipelineGraph) -> StageIR:
         # references: its own cells are written, not read
         accesses=tuple(
             AccessInfo(ref, ref.function,
-                       tuple(analyze_access(arg) for arg in ref.args))
-            for ref in stage_references(stage)),
+                       tuple(index_form(arg) for arg in ref.args))
+            for ref in graph.references(stage)),
         level=graph.level(stage),
         is_output=graph.is_output(stage),
         is_self_referential=stage in graph.self_referential,
@@ -225,14 +254,50 @@ def lower_stage(stage: Stage, graph: PipelineGraph) -> StageIR:
 
 
 class PipelineIR:
-    """IR of a whole pipeline: the graph plus a :class:`StageIR` per stage."""
+    """IR of a whole pipeline: the graph plus a :class:`StageIR` per stage.
 
-    def __init__(self, graph: PipelineGraph):
+    ``reuse`` is the IR of an earlier pipeline this one was rewritten
+    from (the inlining pass's): a stage it already lowered keeps its
+    domain, cases and accesses, and a clone keeps whatever lowering of
+    the stage of the same name still applies (see :func:`lower_stage`);
+    ``level``, ``is_output`` and ``is_self_referential`` always come
+    from ``graph``.  Either way each distinct index expression object
+    is analysed once.
+    """
+
+    def __init__(self, graph: PipelineGraph,
+                 reuse: "PipelineIR | None" = None):
         self.graph = graph
-        self.stages: dict[Stage, StageIR] = {
-            stage: lower_stage(stage, graph) for stage in graph.stages}
+        # id(index expression) -> (the expression, its AccessForm): the
+        # pair holds the object, so its id stays its own while keyed
+        self._index_forms: dict[int, tuple[Expr, AccessForm | None]] = \
+            dict(reuse._index_forms) if reuse is not None else {}
+        lowered = reuse.stages if reuse is not None else {}
+        by_name = {stage.name: stage_ir for stage, stage_ir in lowered.items()}
+        self.stages: dict[Stage, StageIR] = {}
+        for stage in graph.stages:
+            stage_ir = lowered.get(stage)
+            if stage_ir is None:
+                stage_ir = lower_stage(stage, graph, self._index_form,
+                                       like=by_name.get(stage.name))
+            else:
+                stage_ir = replace(
+                    stage_ir, level=graph.level(stage),
+                    is_output=graph.is_output(stage),
+                    is_self_referential=stage in graph.self_referential)
+            self.stages[stage] = stage_ir
         self._edge_summaries: dict[tuple[Stage, Stage], EdgeSummary] = {}
-        self._forms_by_reference: dict[int, tuple] | None = None
+        self._forms_by_reference: dict[int, AccessInfo] | None = None
+
+    # The id-keyed memos check that an entry's object *is* the one asked
+    # about: an IR that crossed a pickle carries the ids of the process
+    # that built it.
+    def _index_form(self, index: Expr) -> AccessForm | None:
+        entry = self._index_forms.get(id(index))
+        if entry is None or entry[0] is not index:
+            entry = self._index_forms[id(index)] = (index,
+                                                    analyze_access(index))
+        return entry[1]
 
     def __getitem__(self, stage: Stage) -> StageIR:
         return self.stages[stage]
@@ -252,13 +317,13 @@ class PipelineIR:
         a node the IR does not hold."""
         if self._forms_by_reference is None:
             self._forms_by_reference = {
-                id(access.reference): access.forms
+                id(access.reference): access
                 for stage_ir in self.stages.values()
                 for access in stage_ir.accesses}
-        forms = self._forms_by_reference.get(id(ref))
-        if forms is None:
-            forms = tuple(analyze_access(arg) for arg in ref.args)
-        return forms
+        access = self._forms_by_reference.get(id(ref))
+        if access is not None and access.reference is ref:
+            return access.forms
+        return tuple(self._index_form(arg) for arg in ref.args)
 
     def ordered(self) -> list[StageIR]:
         return [self.stages[s] for s in self.graph.topological_order()]

@@ -1,13 +1,18 @@
 """Tests for IR lowering: domains, cases, access classification."""
 
+import pickle
+
 import pytest
 
+from repro.apps import ALL_APPS
 from repro.apps.harris import build_pipeline
 from repro.lang import (
     Accumulate, Accumulator, Case, Cast, Float, Function, Image, Int,
     Interval, Parameter, Sum, UChar, Variable,
 )
+from repro.lang.expr import Reference
 from repro.pipeline.graph import PipelineGraph
+from repro.pipeline.inline import inline_pipeline
 from repro.pipeline.ir import PipelineIR
 from repro.poly.interval import IntInterval
 
@@ -136,6 +141,33 @@ def test_access_forms_by_reference_identity():
     assert ir.access_forms(lut(Cast(Int, I(x)))) == (None,)
 
 
+def test_access_forms_never_answer_for_another_object():
+    """The by-identity memos key on ``id()``; an IR that crossed a
+    pickle carries the ids of the process that built it, so a key that
+    now names a different node must not answer for it."""
+    R = Parameter(Int, "R")
+    I = Image(Float, [R], name="I")
+    lut = Image(Float, [R], name="lut")
+    x = Variable("x")
+    f = Function(varDom=([x], [Interval(0, R - 1, 1)]), typ=Float, name="f")
+    f.defn = lut(Cast(Int, I(x // 2) * 10))
+    ir = PipelineIR(PipelineGraph([f]))
+    lut_access, i_access = sorted(ir[f].accesses,
+                                  key=lambda a: a.producer.name != "lut")
+    assert ir.access_forms(lut_access.reference) == (None,)
+    # stale entries whose ids collide with the I access and its index
+    ir._forms_by_reference[id(i_access.reference)] = lut_access
+    ir._index_forms[id(i_access.reference.args[0])] = (
+        lut_access.reference.args[0], None)
+    assert ir.access_forms(i_access.reference) == i_access.forms
+    assert ir.access_forms(Reference(I, i_access.reference.args)) == \
+        i_access.forms
+
+    clone = pickle.loads(pickle.dumps(ir))
+    for access in clone[clone.graph.outputs[0]].accesses:
+        assert clone.access_forms(access.reference) == access.forms
+
+
 def test_edge_summary_dedups_requirements_and_hulls_taps():
     R = Parameter(Int, "R")
     x = Variable("x")
@@ -151,3 +183,33 @@ def test_edge_summary_dedups_requirements_and_hulls_taps():
     # offsets -(-2)..-(1), and the floor's slack on the sampled tap
     assert summary.hulls == ((-1, 2),)
     assert summary.const_taps == ()
+
+
+def _lowering(stage_ir):
+    """Everything a lowering derives, in comparable form."""
+    def box(b):
+        return None if b is None else (b.variables, b.bounds)
+    return (box(stage_ir.domain), box(stage_ir.reduction_domain),
+            [(c.condition, c.expression, c.split, box(c.box))
+             for c in stage_ir.cases],
+            [(a.reference, a.producer, a.forms) for a in stage_ir.accesses],
+            stage_ir.level, stage_ir.is_output, stage_ir.is_self_referential)
+
+
+@pytest.mark.parametrize("name", ["camera", "harris", "local_laplacian",
+                                  "pyramid_blend"])
+def test_reused_lowering_equals_a_fresh_one(name):
+    """The plan's IR reuses the inlining pass's lowering; what it derives
+    must be exactly what lowering the rewritten pipeline afresh gives."""
+    app = ALL_APPS[name]()
+    result = inline_pipeline(app.outputs, app.default_estimates)
+    assert result.changed
+    graph = PipelineGraph(result.outputs)
+    reused = PipelineIR(graph, reuse=result.ir)
+    fresh = PipelineIR(graph)
+    for stage in graph.stages:
+        assert _lowering(reused[stage]) == _lowering(fresh[stage]), stage.name
+    kept = [s for s in graph.stages if s in result.ir.stages]
+    assert kept
+    for stage in kept:
+        assert reused[stage].accesses is result.ir[stage].accesses
