@@ -80,7 +80,9 @@ class GroupTransforms:
 
 
 def compute_group_transforms(ir: PipelineIR, stages: Iterable[Stage],
-                             root: Stage) -> GroupTransforms | None:
+                             root: Stage,
+                             known: GroupTransforms | None = None
+                             ) -> GroupTransforms | None:
     """Align and scale all ``stages`` against the ``root`` stage.
 
     Walks intra-group edges backwards from the root.  For an access whose
@@ -91,17 +93,30 @@ def compute_group_transforms(ir: PipelineIR, stages: Iterable[Stage],
     or different accesses) make the group infeasible.  The requirements
     come de-duplicated from :meth:`PipelineIR.edge_summary`, so a stencil
     costs one check per distinct ``(v, m / a)`` binding, not one per tap.
+
+    ``known`` carries the transforms of a group with the same root that
+    ``stages`` extends, taken over as they are: a stage's transform is
+    fixed by its in-group consumers, so when the added stages are
+    producers only (Algorithm 1's merge of a group into its child) the
+    known transforms stand, and only the edges into the added stages are
+    solved — the counterpart of ``group_halos(known=...)``.
     """
     group = set(stages)
     if root not in group:
         raise ValueError("the root stage must be part of the group")
 
-    root_ir = ir[root]
-    if root_ir.is_accumulator or root_ir.is_self_referential:
-        return None
-    transforms: dict[Stage, StageTransform] = {
-        root: StageTransform(tuple(range(root_ir.ndim)),
-                             tuple(Fraction(1) for _ in range(root_ir.ndim)))}
+    if known is not None:
+        if known.root is not root:
+            raise ValueError("known transforms must share the root")
+        transforms = dict(known.transforms)
+    else:
+        root_ir = ir[root]
+        if root_ir.is_accumulator or root_ir.is_self_referential:
+            return None
+        transforms = {root: StageTransform(
+            tuple(range(root_ir.ndim)),
+            tuple(Fraction(1) for _ in range(root_ir.ndim)))}
+    settled = set(transforms)
 
     # Process consumers before their producers (reverse topological order).
     for consumer in reversed(ir.graph.ordered(group)):
@@ -109,14 +124,16 @@ def compute_group_transforms(ir: PipelineIR, stages: Iterable[Stage],
             # Not reachable from the root through in-group consumers: the
             # candidate set is not a well-formed group.
             return None
+        producers = [p for p in ir.graph.producers(consumer)
+                     if p in group and p not in settled]
+        if not producers:
+            continue
         consumer_ir = ir[consumer]
         ct = transforms[consumer]
         var_info: dict[int, tuple[int, Fraction]] = {}
         for d, var in enumerate(consumer_ir.variables):
             var_info[id(var)] = (ct.dim_map[d], ct.scales[d])
-        for producer in ir.graph.producers(consumer):
-            if producer not in group:
-                continue
+        for producer in producers:
             producer_ir = ir[producer]
             if producer_ir.is_accumulator or producer_ir.is_self_referential:
                 return None

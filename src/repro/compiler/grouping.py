@@ -16,8 +16,9 @@ it cheap is that a visit is a lookup unless the pair is new — a rejected
 is *evaluated* once (``len(decisions)`` evaluations in all) — and that an
 evaluation costs in proportion to the edges of the merged group: the
 per-tap facts come from :meth:`PipelineIR.edge_summary`, the child's
-halos are reused, and sizes, order and the condensed graph's child sets
-are maintained across rounds instead of re-derived.
+transforms and halos are reused (only the absorbed stages are solved),
+and sizes, order and the condensed graph's child sets are maintained
+across rounds instead of re-derived.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import networkx as nx
 from repro.compiler.align_scale import GroupTransforms, compute_group_transforms
 from repro.compiler.deps import NonConstantDependence
 from repro.compiler.tiling import (
-    Halo, estimate_relative_overlap, group_halos, naive_halos,
+    Halo, group_halos, naive_halos, relative_overlap, widest_overlap,
 )
 from repro.lang.constructs import Parameter
 from repro.observe.decisions import DecisionLog, MergeDecision
@@ -179,6 +180,8 @@ def group_pipeline(ir: PipelineIR, estimates: Mapping[Parameter, int],
     # (group, child) pairs already turned down: neither side has changed
     # since, so the verdict (which the log de-duplicates anyway) stands
     rejected: set[tuple[Group, Group]] = set()
+    # each merged group's widest halo per dimension (widest_overlap)
+    widest: dict[Group, tuple[Fraction, ...]] = {}
 
     def forced_by_hint(group: Group, child: Group) -> bool:
         return hints is not None and hints.forces_merge(
@@ -230,8 +233,11 @@ def group_pipeline(ir: PipelineIR, estimates: Mapping[Parameter, int],
                               "self-referential stage", hinted=forced)
                 continue
             merged_stages = graph.ordered(group.stages + child.stages)
+            # the absorbed stages are producers only, so the child's own
+            # transforms (and below, its halos) carry over
             transforms = compute_group_transforms(ir, merged_stages,
-                                                  child.root)
+                                                  child.root,
+                                                  known=child.transforms)
             if transforms is None:
                 # cannot make dependence vectors constant; a hint-forced
                 # candidate fails here too — hints never bypass legality
@@ -243,31 +249,34 @@ def group_pipeline(ir: PipelineIR, estimates: Mapping[Parameter, int],
                 continue
             try:
                 if tight_overlap:
-                    # the absorbed stages are producers only, so the
-                    # child's own halos carry over
                     halos = group_halos(ir, transforms, merged_stages,
                                         known=child.halos)
+                    widths = widest_overlap(
+                        (halos[s] for s in merged_stages
+                         if s not in child.halos),
+                        widest.get(child, ()))
                 else:
                     halos = naive_halos(ir, transforms, merged_stages)
+                    widths = widest_overlap(halos.values())
             except NonConstantDependence as exc:
                 # constant-index dependence over parametric extent
                 record(False, "non-constant dependence range over "
                               "parametric extent",
                        diagnostic=f"RV003 {exc}", hinted=forced)
                 continue
-            relative_overlap = estimate_relative_overlap(halos, tile_sizes)
-            if relative_overlap >= threshold and not forced:
+            overlap = relative_overlap(widths, tile_sizes)
+            if overlap >= threshold and not forced:
                 # too much redundant computation
                 record(False, "relative overlap exceeds threshold",
-                       overlap=relative_overlap)
+                       overlap=overlap)
                 continue
             if forced:
                 record(True, "merge forced by scheduling hint",
-                       overlap=relative_overlap, hinted=True)
+                       overlap=overlap, hinted=True)
             else:
-                record(True, "overlap within threshold",
-                       overlap=relative_overlap)
+                record(True, "overlap within threshold", overlap=overlap)
             merged = Group(merged_stages, child.root, transforms, halos)
+            widest[merged] = widths
             groups.remove(group)
             groups.remove(child)
             groups.append(merged)
