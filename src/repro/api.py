@@ -53,8 +53,6 @@ class CompiledPipeline:
                             vectorize=vectorize, n_threads=n_threads,
                             tracer=tracer)
 
-    execute = __call__
-
     def run_batch(self, param_values: Mapping[Parameter, int],
                   inputs_list,
                   *, vectorize: bool = True,
@@ -122,22 +120,15 @@ class CompiledPipeline:
         processes with shared-memory frame transport, load balancing
         and worker respawn (see :mod:`repro.serve.router`).
 
-        ``store="ro"|"rw"`` consults the persistent schedule store
-        (:mod:`repro.schedule`) during the background native build:
-        on a warm store every worker cold-starts by ``dlopen``-ing the
-        already-published artifact — no C compiler invocation.
-        ``store_root=`` overrides the store directory.
+        ``build_kwargs`` is forwarded to the background native build
+        (:func:`~repro.codegen.build.build_native`):
+        ``build_kwargs={"store": "ro"}`` consults the persistent
+        schedule store (:mod:`repro.schedule`), so on a warm store every
+        worker cold-starts by ``dlopen``-ing the already-published
+        artifact — no C compiler invocation; ``"store_root"`` overrides
+        the store directory.
         """
         config.setdefault("name", self.name)
-        store = config.pop("store", None)
-        store_root = config.pop("store_root", None)
-        if store is not None or store_root is not None:
-            build_kwargs = dict(config.get("build_kwargs") or {})
-            if store is not None:
-                build_kwargs.setdefault("store", store)
-            if store_root is not None:
-                build_kwargs.setdefault("store_root", str(store_root))
-            config["build_kwargs"] = build_kwargs
         processes = config.pop("processes", 0)
         if processes:
             from repro.serve import ShardedService

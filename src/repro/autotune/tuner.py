@@ -290,7 +290,6 @@ def autotune(outputs, estimates: Mapping, param_values: Mapping,
              n_workers: int = 1,
              cache_dir: str | Path | None = None,
              profile: bool = False,
-             verify: bool = True,
              hints=None,
              store: str | None = None,
              store_root: str | Path | None = None) -> TuningReport:
@@ -311,13 +310,13 @@ def autotune(outputs, estimates: Mapping, param_values: Mapping,
     tile counts of the measured run to each :class:`TuneResult` — note
     the timers add a small overhead to the reported times.
 
-    ``verify=True`` (the default) runs the static plan verifier
-    (:mod:`repro.verify`) on every successfully compiled configuration
-    before timing it; configurations with error-severity findings are
-    never run — they join ``report.skipped`` with the diagnostic codes
-    as the reason.  Configurations with ``narrow=True`` additionally get
-    the RV5xx range-audit checks, so an unsound narrowing decision is
-    caught before it can produce (fast) wrong answers.
+    Every successfully compiled configuration goes through the static
+    plan verifier (:mod:`repro.verify`) before it is timed;
+    configurations with error-severity findings are never run — they
+    join ``report.skipped`` with the diagnostic codes as the reason.
+    Configurations with ``narrow=True`` additionally get the RV5xx
+    range-audit checks, so an unsound narrowing decision is caught
+    before it can produce (fast) wrong answers.
 
     ``hints`` is an optional :class:`~repro.schedule.ScheduleHints`
     applied to *every* configuration of the sweep; hinted plans still go
@@ -352,10 +351,9 @@ def autotune(outputs, estimates: Mapping, param_values: Mapping,
     sched_store = digest = fingerprint = None
     stored_entry = None
     if store is not None:
-        from repro.codegen.build import _schedule_store, get_cache
+        from repro.codegen.build import _schedule_store
         from repro.schedule.store import machine_fingerprint, pipeline_digest
-        sched_store = _schedule_store(get_cache(cache_dir), cache_dir,
-                                      store_root)
+        sched_store = _schedule_store(cache_dir, store_root)
         digest = pipeline_digest(list(outputs), estimates)
         fingerprint = machine_fingerprint()
         stored_entry = sched_store.lookup(digest, fingerprint)
@@ -391,6 +389,8 @@ def autotune(outputs, estimates: Mapping, param_values: Mapping,
                                  hints=hints))
     configs = dict(sweep)
     infos: dict[int, object] = {}
+    # looked up per call: tests substitute ``repro.verify.verify_plan``
+    from repro.verify import verify_plan
     for record in run_compile_farm(tasks, n_workers):
         config = configs[record.index]
         infos[record.index] = record.info
@@ -398,17 +398,15 @@ def autotune(outputs, estimates: Mapping, param_values: Mapping,
             skipped.append((record.index,
                             SkippedConfig(config, record.error)))
             continue
-        if verify and record.plan is not None:
-            from repro.verify import verify_plan
-            v_report = verify_plan(record.plan)
-            if not v_report.ok:
-                summary = "; ".join(
-                    f"{d.code} {d.message}" for d in v_report.errors[:3])
-                if len(v_report.errors) > 3:
-                    summary += f" (+{len(v_report.errors) - 3} more)"
-                skipped.append((record.index,
-                                SkippedConfig(config, f"verify: {summary}")))
-                continue
+        v_report = verify_plan(record.plan)
+        if not v_report.ok:
+            summary = "; ".join(
+                f"{d.code} {d.message}" for d in v_report.errors[:3])
+            if len(v_report.errors) > 3:
+                summary += f" (+{len(v_report.errors) - 3} more)"
+            skipped.append((record.index,
+                            SkippedConfig(config, f"verify: {summary}")))
+            continue
         measured.append((record.index,
                          _measure(record, config, param_values, inputs,
                                   backend, n_threads, repeats, name)))

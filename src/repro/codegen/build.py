@@ -627,8 +627,7 @@ class NativePipeline:
 def compile_artifact(plan: PipelinePlan, *, vectorize: bool = True,
                      instrument: bool = False,
                      cache_dir: str | Path | None = None,
-                     extra_flags: tuple[str, ...] = (),
-                     cache: CompileCache | None = None) -> BuildInfo:
+                     extra_flags: tuple[str, ...] = ()) -> BuildInfo:
     """Generate C for a plan and compile it into the cache (no ctypes load).
 
     This is the process-safe half of :func:`build_native`: it can run in a
@@ -643,9 +642,7 @@ def compile_artifact(plan: PipelinePlan, *, vectorize: bool = True,
         raise BuildError("no C compiler found (tried gcc, cc, clang)")
     source = generate_c(plan, CANONICAL_NAME, instrument=instrument)
     flags = build_flags(vectorize=vectorize, extra_flags=tuple(extra_flags))
-    if cache is None:
-        cache = get_cache(cache_dir)
-    return cache.get_or_compile(source, flags, cc)
+    return get_cache(cache_dir).get_or_compile(source, flags, cc)
 
 
 def load_native(plan: PipelinePlan, name: str = "pipeline",
@@ -671,16 +668,13 @@ def load_native(plan: PipelinePlan, name: str = "pipeline",
                           build_info=info)
 
 
-def _schedule_store(cache: CompileCache | None,
-                    cache_dir: str | Path | None,
+def _schedule_store(cache_dir: str | Path | None,
                     store_root: str | Path | None):
     """The :class:`~repro.schedule.ScheduleStore` next to this cache."""
     from repro.schedule.store import STORE_SUBDIR, ScheduleStore
     if store_root is not None:
         return ScheduleStore(store_root)
-    root = cache.root if cache is not None else \
-        Path(cache_dir) if cache_dir else default_cache_dir()
-    return ScheduleStore(Path(root) / STORE_SUBDIR)
+    return ScheduleStore(get_cache(cache_dir).root / STORE_SUBDIR)
 
 
 def _plan_store_key(plan: PipelinePlan) -> str:
@@ -724,7 +718,6 @@ def build_native(plan: PipelinePlan, name: str = "pipeline",
                  instrument: bool = False,
                  cache_dir: str | Path | None = None,
                  extra_flags: tuple[str, ...] = (),
-                 cache: CompileCache | None = None,
                  store: str | None = None,
                  store_root: str | Path | None = None) -> NativePipeline:
     """Generate, compile and load the C implementation of a plan.
@@ -751,19 +744,17 @@ def build_native(plan: PipelinePlan, name: str = "pipeline",
         from repro.schedule.store import (
             StoredSchedule, machine_fingerprint,
         )
-        if cache is None:
-            cache = get_cache(cache_dir)
-        sched_store = _schedule_store(cache, cache_dir, store_root)
+        sched_store = _schedule_store(cache_dir, store_root)
         digest = _plan_store_key(plan)
         fingerprint = machine_fingerprint()
         entry = sched_store.lookup(digest, fingerprint)
         native = _try_store_load(plan, name, entry=entry, flags=flags,
-                                 instrument=instrument, cache=cache)
+                                 instrument=instrument,
+                                 cache=get_cache(cache_dir))
         if native is not None:
             return native
     info = compile_artifact(plan, vectorize=vectorize, instrument=instrument,
-                            cache_dir=cache_dir, extra_flags=extra_flags,
-                            cache=cache)
+                            cache_dir=cache_dir, extra_flags=extra_flags)
     native = load_native(plan, name, info)
     if store == "rw" and (entry is None or entry.tune_result is None):
         sched_store.publish(StoredSchedule(

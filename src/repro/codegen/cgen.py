@@ -862,9 +862,6 @@ NativePipeline` reads back through ctypes.  Uninstrumented output
             if d == 0 and parallel:
                 w.emit("#pragma omp parallel for")
             elif not case.split.residual:
-                unroll = self.plan.options.unroll
-                if unroll > 1:
-                    w.emit(f"#pragma GCC unroll {unroll}")
                 if opt.simd_safe(stage_ir, case):
                     # unit-stride store, no self-reads: vector pragmas
                     # are legal; the fast path asks for omp simd, the

@@ -132,31 +132,25 @@ def _is_unmergeable(ir: PipelineIR, stage: Stage) -> bool:
 def group_pipeline(ir: PipelineIR, estimates: Mapping[Parameter, int],
                    tile_sizes: Sequence[int],
                    overlap_threshold: float | Fraction,
-                   min_size: int = 0,
                    tight_overlap: bool = True,
-                   decision_log: DecisionLog | None = None,
                    hints=None) -> GroupingResult:
     """Run Algorithm 1 and return the final grouping.
 
     ``tile_sizes`` is indexed per group dimension (cycled if a group has
-    more dimensions).  ``min_size`` optionally keeps very small groups
-    (lookup tables and the like) from initiating merges, mirroring the
-    paper's use of the estimates.  Every merge candidate the loop
-    evaluates — accepted or not, with its overlap cost — is recorded in
-    ``decision_log`` (one is created if not supplied) and surfaced on the
-    returned :class:`GroupingResult`.
+    more dimensions).  Every merge candidate the loop evaluates —
+    accepted or not, with its overlap cost — is recorded and surfaced on
+    the returned :class:`GroupingResult`.
 
     ``hints`` (a :class:`~repro.schedule.ScheduleHints`) constrains the
     enumeration: merges that would co-locate a ``forbid_group`` pair are
     rejected outright; candidates spanning a ``force_group`` set are
-    visited first and exempted from the *heuristic* gates (``min_size``
-    and the overlap threshold) — but never from legality: a hint-forced
-    merge still needs alignment/scaling and constant halos, exactly like
-    an automatic one.  Hint-influenced decisions are recorded with
+    visited first and exempted from the overlap threshold — but never
+    from legality: a hint-forced merge still needs alignment/scaling and
+    constant halos, exactly like an automatic one.  Hint-influenced decisions are recorded with
     ``hinted=True``.
     """
     threshold = Fraction(overlap_threshold).limit_denominator(10 ** 6)
-    log = decision_log if decision_log is not None else DecisionLog()
+    log = DecisionLog()
     if hints is not None and hints.is_empty():
         hints = None
     graph = ir.graph
@@ -219,10 +213,6 @@ def group_pipeline(ir: PipelineIR, estimates: Mapping[Parameter, int],
                     (s.name for s in child.stages)):
                 record(False, "merge forbidden by scheduling hint",
                        hinted=True)
-                continue
-            if min_size and size[group] < min_size and not forced:
-                record(False, f"group size {size[group]} below "
-                              f"min_group_size {min_size}")
                 continue
             if any(_is_unmergeable(ir, s) for s in group.stages):
                 record(False, "group holds an accumulator or "

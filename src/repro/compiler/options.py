@@ -35,15 +35,10 @@ class CompileOptions:
     group: bool = True
     #: overlapped-tile execution; False scans full domains stage by stage
     tile: bool = True
-    #: skip merging groups smaller than this many points (0 disables)
-    min_group_size: int = 0
     #: use the tight per-level tile shapes of Section 3.4; False falls back
     #: to the uniform dependence-cone over-approximation (Figure 6's naive
     #: construction) — an ablation knob, measurably more redundant
     tight_overlap: bool = True
-    #: unroll factor hinted to the C compiler on innermost loops
-    #: (Section 3.7 mentions unrolling; 0 leaves it to the compiler)
-    unroll: int = 0
     #: fast-path codegen: interior/boundary specialization of generated
     #: loop nests (clamp elimination, floor-div strength reduction, load
     #: CSE, hoisted index arithmetic) plus persistent per-thread scratch
@@ -65,8 +60,6 @@ class CompileOptions:
             raise ValueError("tile sizes must be positive")
         if not 0 < self.overlap_threshold:
             raise ValueError("overlap threshold must be positive")
-        if self.unroll < 0:
-            raise ValueError("unroll factor must be non-negative")
         if self.simd and not isinstance(self.simd, bool):
             raise ValueError("simd must be a bool")
         if self.specialize and not isinstance(self.specialize, bool):

@@ -9,7 +9,7 @@ backends (NumPy interpreter and C code generator) consume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
 
@@ -129,6 +129,9 @@ class PipelinePlan:
     #: under (``None`` for an unhinted compile); audited post hoc by the
     #: RV6xx verify family
     hints: object | None = None
+    #: :meth:`_fast_path_report`'s result, derived on first use
+    _fast_path: list | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     @property
     def outputs(self) -> list[Stage]:
@@ -180,12 +183,20 @@ class PipelinePlan:
             lines.append(self._specialize_line())
         return "\n".join(lines)
 
+    def _fast_path_report(self) -> list:
+        """The per-stage :class:`~repro.codegen.opt.StageFastInfo` list
+        that :meth:`summary` and :meth:`explain` both render, derived
+        once per plan."""
+        if self._fast_path is None:
+            # imported lazily: codegen.opt depends on pipeline/poly
+            # modules that import this module's neighbours
+            from repro.codegen.opt import specialization_report
+            self._fast_path = specialization_report(self)
+        return self._fast_path
+
     def _specialize_line(self) -> str:
         """One-line fast-path tally for :meth:`summary`."""
-        # imported lazily: codegen.opt depends on pipeline/poly modules
-        # that import this module's neighbours
-        from repro.codegen.opt import specialization_report
-        infos = specialization_report(self)
+        infos = self._fast_path_report()
         n_guarded = sum(1 for fi in infos if fi.guarded)
         n_dropped = sum(fi.n_dropped for fi in infos)
         n_reduced = sum(fi.n_reduced for fi in infos)
@@ -244,9 +255,8 @@ class PipelinePlan:
                 lines.append(f"  {stage.name}: {decision.kind} "
                              f"({decision.reason})")
         if opt.specialize:
-            from repro.codegen.opt import specialization_report
             lines += ["", "== fast-path specialization =="]
-            infos = specialization_report(self)
+            infos = self._fast_path_report()
             if not infos:
                 lines.append("(no specializable stages)")
             for fi in infos:
@@ -340,7 +350,6 @@ def compile_plan(outputs: Sequence[Stage],
             with tracer.span("grouping", cat="compiler") as sp:
                 grouping = group_pipeline(ir, estimates, options.tile_sizes,
                                           options.overlap_threshold,
-                                          options.min_group_size,
                                           options.tight_overlap,
                                           hints=hints)
                 sp.set(n_groups=len(grouping.groups),

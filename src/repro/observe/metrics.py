@@ -311,35 +311,40 @@ class MetricsRegistry:
                 Histogram.from_dict(data))
 
 
+#: samples a :class:`LatencyWindow` keeps (the most recent ones)
+LATENCY_WINDOW = 2048
+
+
+def _nearest_rank(window: list[float], q: float) -> float:
+    """The ``q``-th percentile (0..100) of a sorted, non-empty window."""
+    return window[max(0, math.ceil(q / 100.0 * len(window)) - 1)]
+
+
 class LatencyWindow:
     """Fixed-capacity ring of duration samples with percentile queries.
 
     ``record`` is O(1) and lock-cheap, so it can sit on a serving hot
     path; ``percentile``/``snapshot`` sort a copy of the window (at most
-    ``capacity`` items) on the reader's thread.  Durations are recorded
-    in seconds and reported in milliseconds.
+    :data:`LATENCY_WINDOW` items) on the reader's thread.  Durations are
+    recorded in seconds and reported in milliseconds.
     """
 
-    def __init__(self, capacity: int = 2048):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
+    def __init__(self):
         self._lock = threading.Lock()
-        self._ring: list[float] = [0.0] * capacity
+        self._ring: list[float] = [0.0] * LATENCY_WINDOW
         self._next = 0
         self._count = 0  # total samples ever recorded
 
     def record(self, seconds: float) -> None:
         with self._lock:
             self._ring[self._next] = seconds
-            self._next = (self._next + 1) % self.capacity
+            self._next = (self._next + 1) % LATENCY_WINDOW
             self._count += 1
 
     def _window(self) -> list[float]:
         with self._lock:
-            n = min(self._count, self.capacity)
-            return self._ring[:n] if self._count <= self.capacity \
-                else list(self._ring)
+            return self._ring[:self._count] \
+                if self._count <= LATENCY_WINDOW else list(self._ring)
 
     @property
     def count(self) -> int:
@@ -355,8 +360,7 @@ class LatencyWindow:
         if not window:
             return 0.0
         window.sort()
-        rank = max(0, math.ceil(q / 100.0 * len(window)) - 1)
-        return window[rank] * 1000.0
+        return _nearest_rank(window, q) * 1000.0
 
     def snapshot(self) -> dict:
         """JSON-ready summary: count, mean and p50/p90/p99 (ms)."""
@@ -367,16 +371,12 @@ class LatencyWindow:
             return {"count": count, "mean_ms": 0.0, "p50_ms": 0.0,
                     "p90_ms": 0.0, "p99_ms": 0.0}
         window.sort()
-
-        def rank(q: float) -> float:
-            return window[max(0, math.ceil(q / 100.0 * len(window)) - 1)]
-
         return {
             "count": count,
             "mean_ms": sum(window) / len(window) * 1000.0,
-            "p50_ms": rank(50) * 1000.0,
-            "p90_ms": rank(90) * 1000.0,
-            "p99_ms": rank(99) * 1000.0,
+            "p50_ms": _nearest_rank(window, 50) * 1000.0,
+            "p90_ms": _nearest_rank(window, 90) * 1000.0,
+            "p99_ms": _nearest_rank(window, 99) * 1000.0,
         }
 
     def clear(self) -> None:

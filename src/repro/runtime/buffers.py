@@ -107,16 +107,11 @@ class BufferPool:
     allocated ones.  ``release`` returns arrays for reuse; releasing an
     array twice or releasing foreign arrays is the caller's bug — the
     pool does not track outstanding leases by identity, only a count.
-
-    ``max_per_key`` bounds how many idle arrays are parked per
-    (shape, dtype) bucket; extras are dropped to the garbage collector
-    rather than hoarded.
     """
 
-    def __init__(self, max_per_key: int | None = None):
+    def __init__(self):
         self._free: dict[tuple[tuple[int, ...], str], list[np.ndarray]] = {}
         self._lock = threading.Lock()
-        self.max_per_key = max_per_key
         self._hits = 0
         self._misses = 0
         self._outstanding = 0
@@ -164,10 +159,7 @@ class BufferPool:
             for array in arrays:
                 self._outstanding -= 1
                 key = self._key(array.shape, array.dtype)
-                bucket = self._free.setdefault(key, [])
-                if (self.max_per_key is None
-                        or len(bucket) < self.max_per_key):
-                    bucket.append(array)
+                self._free.setdefault(key, []).append(array)
 
     # -- inspection / maintenance -----------------------------------------
     def stats(self) -> dict:

@@ -11,8 +11,9 @@ Two halves (see :mod:`repro.schedule.hints` and
 * :class:`ScheduleStore` — winning schedules persisted next to the
   compile-cache artifacts, keyed on pipeline content digest + machine
   fingerprint, so ``build(store="ro")`` / ``autotune(store="rw")`` /
-  ``serve(processes=N, store="ro")`` cold-start straight into the best
-  known schedule and its already-compiled binary.
+  ``serve(processes=N, build_kwargs={"store": "ro"})`` cold-start
+  straight into the best known schedule and its already-compiled
+  binary.
 """
 
 from repro.schedule.hints import ScheduleHints

@@ -21,7 +21,7 @@ or native calls keep erroring.  ``submit`` on a full queue raises
 :class:`Overloaded`; frames that miss their deadline fail with
 :class:`DeadlineExceeded`.  Under load, compatible queued requests
 (same params, same input shapes/dtypes) are coalesced into one batched
-native call (``max_batch=``/``coalesce=``) — late members are dropped
+native call (at most ``max_batch=``) — late members are dropped
 individually, never the whole batch.  Every request carries a lifecycle
 :class:`~repro.observe.events.Timeline` (``submitted → dequeued →
 coalesced → dispatched → completed | dropped``) mirrored into the

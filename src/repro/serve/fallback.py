@@ -6,7 +6,7 @@ State transitions::
         │                            │
         └─build failed / load        ├─transient native error ─▶ frame
           failed ─▶ INTERPRETER      │   re-served by the interpreter
-                                     └─``max_native_errors`` consecutive
+                                     └─``MAX_NATIVE_ERRORS`` consecutive
                                        errors ─▶ INTERPRETER (demoted)
 
 The policy never promotes back from INTERPRETER: a backend that failed
@@ -25,6 +25,9 @@ BUILDING = "building"
 NATIVE = "native"
 INTERPRETER = "interpreter"
 
+#: consecutive native-call errors that demote the backend for good
+MAX_NATIVE_ERRORS = 3
+
 
 class FallbackPolicy:
     """Tracks which backend frames should use and why, thread-safely.
@@ -34,13 +37,7 @@ class FallbackPolicy:
     methods.
     """
 
-    def __init__(self, max_native_errors: int = 3,
-                 native_enabled: bool = True,
-                 on_transition=None):
-        if max_native_errors < 1:
-            raise ValueError(
-                f"max_native_errors must be >= 1, got {max_native_errors}")
-        self.max_native_errors = max_native_errors
+    def __init__(self, native_enabled: bool = True, on_transition=None):
         #: optional ``callback(transition, fields)`` invoked outside the
         #: policy lock for every state-machine transition —
         #: ``build_ready``, ``build_failed``, ``load_failed``,
@@ -108,7 +105,7 @@ class FallbackPolicy:
         """A native call raised (without crashing the process).
 
         The frame is re-served by the interpreter; after
-        ``max_native_errors`` *consecutive* failures the backend is
+        ``MAX_NATIVE_ERRORS`` *consecutive* failures the backend is
         demoted for good.  Returns True when this error demoted it.
         """
         with self._lock:
@@ -117,7 +114,7 @@ class FallbackPolicy:
             self._consecutive_errors += 1
             errors = self._consecutive_errors
             demoted = (self._state == NATIVE
-                       and errors >= self.max_native_errors)
+                       and errors >= MAX_NATIVE_ERRORS)
             if demoted:
                 self._state = INTERPRETER
                 self._native = None

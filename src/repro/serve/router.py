@@ -155,9 +155,7 @@ class ShardedService:
                  backend: str = "auto",
                  default_deadline_s: float | None = None,
                  n_threads: int = 1,
-                 vectorize: bool = True,
                  max_batch: int = 8,
-                 coalesce: bool = True,
                  events_path: str | Path | None = None,
                  build_kwargs: Mapping | None = None,
                  name: str | None = None):
@@ -177,8 +175,7 @@ class ShardedService:
              self.name))
         self._cfg = {
             "name": self.name, "token": self.token, "backend": backend,
-            "n_threads": n_threads, "vectorize": vectorize,
-            "max_batch": max_batch, "coalesce": coalesce,
+            "n_threads": n_threads, "max_batch": max_batch,
             "build_kwargs": dict(build_kwargs or {}),
         }
         self._max_queue = max_queue

@@ -127,7 +127,7 @@ class Frame:
     outputs: dict[str, np.ndarray]
     backend: str
     latency_s: float
-    _pool: BufferPool | None = field(default=None, repr=False)
+    _pool: BufferPool = field(repr=False)
     _released: bool = field(default=False, repr=False)
     _timeline: Timeline | None = field(default=None, repr=False)
 
@@ -144,7 +144,7 @@ class Frame:
         The arrays must not be touched afterwards — the next frame may
         already be writing into them.
         """
-        if self._released or self._pool is None:
+        if self._released:
             return
         self._released = True
         arrays = {id(a): a for a in self.outputs.values()}
@@ -162,11 +162,11 @@ class ServiceStats:
     """Snapshot of a service's counters, rates and latency distribution.
 
     ``submitted`` counts only *accepted* enqueues — a rejected
-    submission increments ``rejected`` alone, so
-    ``submitted == accepted`` and ``completed / submitted`` measures
-    accepted throughput.  ``batches``/``batched_frames`` count coalesced
-    native dispatches of two or more frames and the frames they carried;
-    singleton dispatches contribute to neither.
+    submission increments ``rejected`` alone, so ``completed /
+    submitted`` measures accepted throughput.
+    ``batches``/``batched_frames`` count coalesced native dispatches of
+    two or more frames and the frames they carried; singleton
+    dispatches contribute to neither.
 
     ``timeouts_by_reason`` splits the aggregate ``timeouts`` count by
     *where* each deadline died (``queue_wait``, ``paused_at_gate``,
@@ -198,19 +198,13 @@ class ServiceStats:
     stages: dict = field(default_factory=dict)
 
     @property
-    def accepted(self) -> int:
-        # submitted is counted on successful enqueue only, so the two
-        # are synonymous; kept for callers of the old name
-        return self.submitted
-
-    @property
     def rejection_rate(self) -> float:
         offered = self.submitted + self.rejected
         return self.rejected / offered if offered else 0.0
 
     @property
     def timeout_rate(self) -> float:
-        return self.timeouts / self.accepted if self.accepted else 0.0
+        return self.timeouts / self.submitted if self.submitted else 0.0
 
     @property
     def native_rate(self) -> float:
@@ -243,9 +237,6 @@ class ServiceStats:
             "stages": {name: dict(summary)
                        for name, summary in self.stages.items()},
         }
-
-    # legacy name, kept for existing callers
-    as_dict = to_dict
 
     @classmethod
     def from_dict(cls, data: dict) -> "ServiceStats":
@@ -345,14 +336,10 @@ class FrameRunner:
     pipe (:mod:`repro.serve.worker`).  Thread-safe.
     """
 
-    def __init__(self, plan, name: str, *,
+    def __init__(self, plan, name: str, pool: BufferPool, *,
                  backend: str = "auto",
                  n_threads: int = 1,
-                 vectorize: bool = True,
-                 pool: BufferPool | None = None,
                  max_batch: int = 8,
-                 coalesce: bool = True,
-                 max_native_errors: int = 3,
                  events: EventLog | None = None,
                  tracer: Tracer | None = None,
                  build_kwargs: Mapping | None = None):
@@ -361,8 +348,6 @@ class FrameRunner:
         self.pool = pool
         self.max_batch = max_batch
         self._n_threads = n_threads
-        self._vectorize = vectorize
-        self._coalesce = coalesce and max_batch > 1
         self._tracer = tracer if tracer is not None else get_tracer()
         self._events = events
         self._latency = LatencyWindow()
@@ -379,7 +364,6 @@ class FrameRunner:
             "batches": 0, "batched_frames": 0,
         }
         self._policy = FallbackPolicy(
-            max_native_errors=max_native_errors,
             native_enabled=backend != "interpreter",
             on_transition=self._on_backend_transition)
         self._build_handle: _build.AsyncBuild | None = None
@@ -477,7 +461,7 @@ class FrameRunner:
         that parallel workers could overlap — so the window stays shut
         until the policy is in the native state.
         """
-        if not self._coalesce:
+        if self.max_batch < 2:
             return False
         self._poll_build()
         backend, _ = self._policy.backend_for_frame()
@@ -666,12 +650,10 @@ class FrameRunner:
     def _recycle(self, outputs: dict) -> None:
         """Hand a dropped frame's outputs back to the pool (dedup by id —
         two outputs may alias one stage array)."""
-        if self.pool is not None:
-            self.pool.release(*{id(a): a for a in outputs.values()}.values())
+        self.pool.release(*{id(a): a for a in outputs.values()}.values())
 
     def _run_interp(self, request: _Request) -> dict:
         return execute_plan(self.plan, request.params, request.inputs,
-                            vectorize=self._vectorize,
                             n_threads=self._n_threads,
                             tracer=self._tracer,
                             deadline=request.deadline,
@@ -733,10 +715,9 @@ class FrameRunner:
         for candidate in (BUILDING, NATIVE, INTERPRETER):
             metrics.gauge(f"backend_is_{candidate}",
                           1.0 if state == candidate else 0.0)
-        if self.pool is not None:
-            pool = self.pool.stats()
-            for key in ("hits", "misses", "outstanding", "idle"):
-                metrics.gauge(f"pool_{key}", float(pool.get(key, 0)))
+        pool = self.pool.stats()
+        for key in ("hits", "misses", "outstanding", "idle"):
+            metrics.gauge(f"pool_{key}", float(pool.get(key, 0)))
         return metrics
 
     def snapshot(self, queue_depth: int) -> ServiceStats:
@@ -762,7 +743,7 @@ class FrameRunner:
             fallbacks=self._policy.fallbacks(),
             queue_depth=queue_depth,
             inflight=counts["inflight"],
-            pool=self.pool.stats() if self.pool is not None else {},
+            pool=self.pool.stats(),
             latency=self._latency.snapshot(),
             timeouts_by_reason=reasons,
             stages=stage_summaries(self._stage_hists),
@@ -776,8 +757,7 @@ class FrameRunner:
         the next acquire, and the native arena re-grows on the next
         call.
         """
-        if self.pool is not None:
-            self.pool.drain()
+        self.pool.drain()
         native = self._policy.native
         if native is not None and hasattr(native, "release"):
             native.release()
@@ -809,18 +789,11 @@ class PipelineService(FrameRunner):
         still degrades gracefully if the build fails).
     default_deadline_s:
         Deadline applied to submissions that do not carry their own.
-    pool:
-        ``True`` (default) pools output/intermediate buffers per
-        service; ``False`` allocates per frame.  A
-        :class:`~repro.runtime.buffers.BufferPool` *instance* is used
-        as-is.
     max_batch:
         Upper bound on frames coalesced into one native batch call
-        (``1`` disables coalescing).  The batching window is whatever
-        the bounded queue already holds — no artificial delay is added.
-    coalesce:
-        ``False`` turns request coalescing off regardless of
-        ``max_batch``; frames are then always dispatched one at a time.
+        (``1`` disables coalescing: frames are then always dispatched
+        one at a time).  The batching window is whatever the bounded
+        queue already holds — no artificial delay is added.
     sample_rate:
         Fraction (0..1) of requests promoted to full cross-thread
         Chrome-trace async spans on the service tracer (deterministic:
@@ -841,11 +814,7 @@ class PipelineService(FrameRunner):
                  backend: str = "auto",
                  default_deadline_s: float | None = None,
                  n_threads: int = 1,
-                 vectorize: bool = True,
-                 pool: bool = True,
                  max_batch: int = 8,
-                 coalesce: bool = True,
-                 max_native_errors: int = 3,
                  sample_rate: float = 0.0,
                  events_path: str | Path | None = None,
                  build_kwargs: Mapping | None = None,
@@ -861,12 +830,8 @@ class PipelineService(FrameRunner):
                 f"sample_rate must be in [0, 1], got {sample_rate}")
         super().__init__(
             compiled.plan, name or getattr(compiled, "name", "pipeline"),
-            backend=backend, n_threads=n_threads, vectorize=vectorize,
-            pool=pool if isinstance(pool, BufferPool)
-            else (BufferPool() if pool else None),
-            max_batch=max_batch, coalesce=coalesce,
-            max_native_errors=max_native_errors,
-            events=EventLog(sink=events_path),
+            BufferPool(), backend=backend, n_threads=n_threads,
+            max_batch=max_batch, events=EventLog(sink=events_path),
             tracer=tracer, build_kwargs=build_kwargs)
         self.backend_mode = backend
         self.default_deadline_s = default_deadline_s

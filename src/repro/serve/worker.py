@@ -87,9 +87,8 @@ class _PipeRunner(FrameRunner):
     def __init__(self, conn, send, plan, name: str, cfg: dict,
                  allocator: SlabAllocator):
         super().__init__(
-            plan, name, backend=cfg["backend"], n_threads=cfg["n_threads"],
-            vectorize=cfg["vectorize"], pool=ShmBufferPool(allocator),
-            max_batch=cfg["max_batch"], coalesce=cfg["coalesce"],
+            plan, name, ShmBufferPool(allocator), backend=cfg["backend"],
+            n_threads=cfg["n_threads"], max_batch=cfg["max_batch"],
             build_kwargs=cfg["build_kwargs"])
         self.conn = conn
         self.poller = select.poll()  # ~10x cheaper than conn.poll

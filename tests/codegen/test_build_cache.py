@@ -9,7 +9,7 @@ from repro import CompileOptions, compile_pipeline
 from repro.apps.harris import build_pipeline
 from repro.codegen.build import (
     CANONICAL_FUNC, CompileCache, build_flags, build_native,
-    compile_artifact, compiler_available, load_native,
+    compile_artifact, compiler_available, get_cache, load_native,
 )
 
 pytestmark = pytest.mark.skipif(not compiler_available(),
@@ -73,13 +73,14 @@ def test_cached_artifact_runs_correctly(plan, tmp_path):
 
 def test_stats_and_eviction(plan, tmp_path):
     app, est, p = plan
-    cache = CompileCache(tmp_path)
-    infos = [compile_artifact(p, cache=cache, extra_flags=(f"-DX{i}",))
+    cache = get_cache(tmp_path)
+    infos = [compile_artifact(p, cache_dir=tmp_path,
+                              extra_flags=(f"-DX{i}",))
              for i in range(3)]
     assert len({i.key for i in infos}) == 3
     stats = cache.stats()
     assert stats.misses == 3 and stats.hits == 0
-    compile_artifact(p, cache=cache, extra_flags=("-DX0",))
+    compile_artifact(p, cache_dir=tmp_path, extra_flags=("-DX0",))
     assert cache.stats().hits == 1
     assert cache.size_bytes() > 0
 

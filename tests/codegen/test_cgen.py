@@ -174,14 +174,3 @@ def test_lines_of_generated_code_exceed_input():
     compiled = compile_pipeline(app.outputs, est, name="hsize")
     assert len(compiled.c_source().splitlines()) > 100
 
-
-def test_unroll_pragma_emitted():
-    app = harris_app.build_pipeline()
-    est = {app.params["R"]: 256, app.params["C"]: 256}
-    options = replace(CompileOptions.optimized((32, 256)), unroll=4)
-    compiled = compile_pipeline(app.outputs, est, options, name="hunroll")
-    src = compiled.c_source()
-    assert "#pragma GCC unroll 4" in src
-    # pragma must sit directly above the vector pragma + the for loop
-    idx = src.index("#pragma GCC unroll 4")
-    assert "#pragma omp simd" in src[idx:idx + 120]

@@ -166,3 +166,27 @@ def test_proof_counts_do_not_depend_on_node_sharing():
     assert lines[True] == lines[False]
     assert lines[True][0].startswith(
         "  bilateral: clamps eliminated 24/24, divisions reduced 66/66")
+
+
+def test_summary_and_explain_derive_fast_path_once(monkeypatch):
+    """``summary()`` and ``explain()`` render one fast-path report per
+    plan: the case analysis behind it runs once, not once per call."""
+    import repro.codegen.opt as opt
+
+    compiled = _compile("harris")
+    calls = []
+    analyze = opt.analyze_case
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return analyze(*args, **kwargs)
+
+    monkeypatch.setattr(opt, "analyze_case", counting)
+    summary = compiled.summary()
+    n_cases = len(calls)
+    assert n_cases > 0
+    explain = compiled.explain()
+    assert len(calls) == n_cases
+    assert compiled.summary() == summary
+    assert compiled.explain() == explain
+    assert len(calls) == n_cases

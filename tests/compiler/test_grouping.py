@@ -96,21 +96,6 @@ def test_infeasible_scaling_blocks_merge():
     assert len(grouping.groups) == 2
 
 
-def test_min_size_skips_small_groups():
-    R = Parameter(Int, "R")
-    x = Variable("x")
-    small = Function(varDom=([x], [Interval(0, 15, 1)]), typ=Float,
-                     name="small")
-    small.defn = x * 2.0
-    big = Function(varDom=([x], [Interval(0, R, 1)]), typ=Float, name="big")
-    big.defn = small(x // 64)
-    ir = PipelineIR(PipelineGraph([big]))
-    merged = group_pipeline(ir, {R: 1023}, (256,), 0.5, min_size=0)
-    blocked = group_pipeline(ir, {R: 1023}, (256,), 0.5, min_size=64)
-    assert len(merged.groups) == 1
-    assert len(blocked.groups) == 2
-
-
 def test_summary_lists_groups():
     app, est, ir = _inlined_harris_ir()
     grouping = group_pipeline(ir, est, (32, 256), 0.4)

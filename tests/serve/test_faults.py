@@ -20,6 +20,7 @@ from repro.codegen.build import BuildError
 from repro.runtime.buffers import BufferPool
 from repro.runtime.executor import execute_plan
 from repro.serve import DeadlineExceeded, PipelineService
+from repro.serve.fallback import MAX_NATIVE_ERRORS
 
 
 def make_service(served, **kw):
@@ -73,26 +74,28 @@ class FlakyNative:
 
 def test_native_errors_reserve_frame_then_demote(served, monkeypatch):
     """Each native error re-serves the frame via the interpreter (caller
-    still gets a correct result); after max_native_errors consecutive
+    still gets a correct result); after MAX_NATIVE_ERRORS consecutive
     errors the backend is demoted for good."""
     flaky = FlakyNative()
     monkeypatch.setattr(build_mod, "build_native",
                         lambda plan, name="pipeline", **kw: flaky)
-    with make_service(served, max_native_errors=2) as service:
+    with make_service(served) as service:
         assert service.wait_ready(30) == "native"
-        for seed in range(3):
+        for seed in range(MAX_NATIVE_ERRORS + 1):
             inputs = served.input_for(seed)
             with service.run(served.values, inputs) as frame:
                 assert frame.backend == "interpreter"
                 assert np.array_equal(frame.outputs[served.out],
                                       served.direct(inputs))
         stats = service.stats()
-    # frames 1-2 hit the flaky native and fell back; frame 3 went
-    # straight to the interpreter because the backend was demoted
-    assert flaky.calls == 2
+    # the first MAX_NATIVE_ERRORS frames hit the flaky native and fell
+    # back; the last went straight to the interpreter because the
+    # backend was demoted
+    assert flaky.calls == MAX_NATIVE_ERRORS
     assert stats.backend == "interpreter"
-    assert stats.fallbacks == {"native_error": 2, "demoted": 1}
-    assert stats.completed == 3 and stats.interp_frames == 3
+    assert stats.fallbacks == {"native_error": MAX_NATIVE_ERRORS,
+                               "demoted": 1}
+    assert stats.completed == stats.interp_frames == MAX_NATIVE_ERRORS + 1
     assert stats.failures == 0
 
 

@@ -37,6 +37,7 @@ from repro.serve import (
     Deadline, DeadlineExceeded, PipelineService, ServiceStats,
     ShardedService,
 )
+from repro.serve.fallback import MAX_NATIVE_ERRORS
 from repro.serve.service import STAGES, _timeout_reason
 
 from tests.serve.test_batching import batch_service
@@ -259,7 +260,7 @@ def test_late_native_reason(served, monkeypatch):
     monkeypatch.setattr(
         build_mod, "build_native",
         lambda plan, name="pipeline", **kw: LateNative(served.out, shape))
-    with make_service(served, coalesce=False) as service:
+    with make_service(served, max_batch=1) as service:
         assert service.wait_ready(30) == "native"
         future = service.submit(served.values, served.input_for(0),
                                 deadline=ExpiredAfterCall())
@@ -294,15 +295,16 @@ def test_native_error_and_demotion_transitions(served, monkeypatch):
     flaky = FlakyNative()
     monkeypatch.setattr(build_mod, "build_native",
                         lambda plan, name="pipeline", **kw: flaky)
-    with make_service(served, max_native_errors=2) as service:
+    with make_service(served) as service:
         assert service.wait_ready(30) == "native"
-        for seed in range(3):
+        for seed in range(MAX_NATIVE_ERRORS + 1):
             service.run(served.values, served.input_for(seed)).release()
         transitions = [e.fields["transition"]
                        for e in service.events(kind="backend")]
-    # build_ready, then two native errors, the second demoting for good
-    assert transitions == ["build_ready", "native_error", "native_error",
-                           "demoted"]
+    # build_ready, then the native errors, the last demoting for good
+    assert transitions == (["build_ready"]
+                           + ["native_error"] * MAX_NATIVE_ERRORS
+                           + ["demoted"])
 
 
 def test_build_ready_transition_recorded(served, monkeypatch):
@@ -317,7 +319,7 @@ def test_fallback_retry_dispatch_stays_inside_execute(served, monkeypatch):
     flaky = FlakyNative()
     monkeypatch.setattr(build_mod, "build_native",
                         lambda plan, name="pipeline", **kw: flaky)
-    with make_service(served, max_native_errors=5) as service:
+    with make_service(served) as service:
         assert service.wait_ready(30) == "native"
         frame = service.run(served.values, served.input_for(0))
         frame.release()

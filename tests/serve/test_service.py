@@ -42,7 +42,7 @@ def test_run_convenience_and_stats_counters(served):
     assert stats.latency["p99_ms"] >= stats.latency["p50_ms"] > 0.0
     assert stats.native_rate == 0.0 and stats.rejection_rate == 0.0
     # snapshot round-trips and renders without blowing up
-    assert stats.as_dict()["completed"] == 3
+    assert stats.to_dict()["completed"] == 3
     assert "interpreter" in stats.render()
 
 
@@ -75,15 +75,6 @@ def test_pool_reaches_full_hit_rate_in_steady_state(served):
     assert steady["misses"] == base["misses"]
     assert steady["hits"] > base["hits"]
     assert steady["outstanding"] == 0
-
-
-def test_unpooled_service_serves_plain_arrays(served):
-    with interp_service(served, pool=False) as service:
-        frame = service.run(served.values, served.input_for(2))
-        frame.release()  # no pool: must be a harmless no-op
-        assert np.array_equal(frame.outputs[served.out],
-                              served.direct(served.input_for(2)))
-        assert service.stats().pool == {}
 
 
 def test_expired_deadline_times_out_in_queue(served):
