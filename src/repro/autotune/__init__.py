@@ -1,14 +1,12 @@
 """Autotuning (paper Section 3.8): the model-restricted sweep and the
 stochastic wide-space baseline used for the OpenTuner comparison.
 
-Both sweeps share the process-pool compile farm in
-:mod:`repro.autotune.farm`: pass ``n_workers > 1`` to compile
-configurations concurrently while timing stays serialized."""
+Both searches share one compile → verify → load → time loop: pass
+``n_workers > 1`` to compile configurations on that many threads of the
+calling process while timing stays on the calling thread, one
+configuration at a time.  The compile cache builds each distinct C
+source once per process, however many configurations generate it."""
 
-from repro.autotune.farm import (
-    CompileRecord, CompileTask, compile_one, rebind_values,
-    run_compile_farm,
-)
 from repro.autotune.random_search import (
     RandomConfig, SearchReport, SearchResult, random_search, sample_config,
 )
@@ -17,8 +15,6 @@ from repro.autotune.tuner import (
     default_space,
 )
 
-__all__ = ["CompileRecord", "CompileTask", "RandomConfig", "SearchReport",
-           "SearchResult", "SkippedConfig", "TuneConfig", "TuneResult",
-           "TuningReport", "autotune", "compile_one", "default_space",
-           "random_search", "rebind_values", "run_compile_farm",
-           "sample_config"]
+__all__ = ["RandomConfig", "SearchReport", "SearchResult", "SkippedConfig",
+           "TuneConfig", "TuneResult", "TuningReport", "autotune",
+           "default_space", "random_search", "sample_config"]

@@ -11,9 +11,10 @@ paper's Section 5 argument that "only a small subset of the space
 matters in practice".
 
 The whole budget is sampled up-front (so a seed fully determines the
-candidate list), which also lets ``n_workers > 1`` fan the compile jobs
-out over the same process farm the model-driven tuner uses; timing stays
-serialized on the parent either way.
+candidate list), then runs through the model-driven tuner's compile →
+verify → load → time loop (:func:`repro.autotune.tuner._sweep`):
+``n_workers > 1`` compiles on that many threads, and timing stays on the
+calling thread either way.
 """
 
 from __future__ import annotations
@@ -26,9 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.autotune.farm import (
-    CompileTask, rebind_values, run_compile_farm,
-)
+from repro.autotune.tuner import _sweep
 from repro.compiler.options import CompileOptions
 
 
@@ -136,57 +135,25 @@ def random_search(outputs, estimates: Mapping, param_values: Mapping,
                   cache_dir: str | Path | None = None) -> SearchReport:
     """Evaluate ``budget`` random configurations; return all timings.
 
-    Configurations that fail to compile are skipped and recorded with
-    their failure reason in ``report.skipped``.
+    Each time is the paper's protocol at ``n_threads``: one warm-up run
+    discarded, one timed run kept.  Configurations that fail to compile,
+    verify or run are skipped and recorded with their failure reason in
+    ``report.skipped``.
     """
     rng = np.random.default_rng(seed)
     candidates = [sample_config(rng, n_dims) for _ in range(budget)]
     n_workers = max(1, n_workers)
     report = SearchReport(n_workers=n_workers)
     start = time.perf_counter()
-    estimates = dict(estimates)
-    tasks = [CompileTask(i, tuple(outputs), estimates, config.options(),
-                         backend=backend,
-                         cache_dir=str(cache_dir) if cache_dir else None)
-             for i, config in enumerate(candidates)]
-
-    measured: list[tuple[int, SearchResult]] = []
-    skipped: list[tuple[int, RandomConfig, str]] = []
-    for record in run_compile_farm(tasks, n_workers):
-        config = candidates[record.index]
-        if not record.ok:
-            skipped.append((record.index, config, record.error))
-            continue
-        plan = record.plan
-        params, images = rebind_values(plan, param_values, inputs)
-        try:
-            if backend == "native":
-                from repro.codegen.build import load_native
-                pipe = load_native(plan, f"{name}_{record.index}",
-                                   record.info)
-
-                def run():
-                    return pipe(params, images, n_threads=n_threads)
-            else:
-                from repro.runtime.executor import execute_plan
-
-                def run():
-                    return execute_plan(plan, params, images,
-                                        n_threads=n_threads)
-            run()  # warm up
-            t0 = time.perf_counter()
-            run()
-            elapsed = (time.perf_counter() - t0) * 1000.0
-        except Exception as exc:
-            skipped.append((record.index, config, f"run: {exc}"))
-            continue
-        measured.append((record.index,
-                         SearchResult(config, elapsed,
-                                      compile_s=record.compile_s,
-                                      cache_hit=record.cache_hit)))
-
-    report.results = [r for _, r in sorted(measured, key=lambda t: t[0])]
-    report.skipped = [(c, reason) for _, c, reason
-                      in sorted(skipped, key=lambda t: t[0])]
+    for trial in _sweep(outputs, estimates, param_values, inputs,
+                        enumerate(candidates), backend=backend,
+                        n_workers=n_workers, cache_dir=cache_dir,
+                        name=name, thread_counts=(n_threads,), runs=2):
+        if trial.error is not None:
+            report.skipped.append((trial.config, trial.error))
+        else:
+            report.results.append(SearchResult(
+                trial.config, trial.times[0].min_ms,
+                compile_s=trial.compile_s, cache_hit=trial.cache_hit))
     report.elapsed_s = time.perf_counter() - start
     return report

@@ -8,11 +8,15 @@ configuration's single-thread and multi-thread time (the data behind
 Figure 9's scatter plots) plus the best configuration.
 
 With ``n_workers > 1`` the compile half of the sweep (middle end + gcc)
-fans out over a process pool (:mod:`repro.autotune.farm`) while every
-timing run stays serialized on the parent, so measurements are never
-contended by each other.  Each configuration's compile time and
-compile-cache hit/miss are recorded alongside its run times in the
-:class:`TuningReport`, which serializes to JSON for the bench harnesses.
+fans out over a thread pool in the calling process while every timing
+run stays on the calling thread, one configuration at a time.  The
+compile cache builds each distinct C source once per process, so
+configurations that generate the same C share one gcc run.  Each
+configuration's compile time and compile-cache hit/miss are recorded
+alongside its run times in the :class:`TuningReport`, which serializes
+to JSON for the bench harnesses.  :func:`_sweep` is the compile → verify
+→ load → time loop that :func:`autotune` and
+:func:`~repro.autotune.random_search.random_search` share.
 """
 
 from __future__ import annotations
@@ -20,16 +24,17 @@ from __future__ import annotations
 import itertools
 import json
 import time
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from repro.autotune.farm import (
-    CompileRecord, CompileTask, rebind_values, run_compile_farm,
-)
+import numpy as np
+
 from repro.compiler.options import (
     OVERLAP_THRESHOLD_CHOICES, TILE_SIZE_CHOICES, CompileOptions,
 )
+from repro.compiler.plan import PipelinePlan, compile_plan
 
 
 @dataclass(frozen=True)
@@ -216,67 +221,188 @@ class TuningReport:
 
 def default_space(n_dims: int,
                   tile_choices: Sequence[int] = TILE_SIZE_CHOICES,
-                  thresholds: Sequence[float] = OVERLAP_THRESHOLD_CHOICES,
-                  specialize_choices: Sequence[bool] = (True,)
+                  thresholds: Sequence[float] = OVERLAP_THRESHOLD_CHOICES
                   ) -> list[TuneConfig]:
-    """The paper's restricted space: |tile_choices|^n_dims * |thresholds|.
+    """The paper's restricted space: |tile_choices|^n_dims * |thresholds|."""
+    return [TuneConfig(tiles, th)
+            for tiles in itertools.product(tile_choices, repeat=n_dims)
+            for th in thresholds]
 
-    ``specialize_choices=(True, False)`` doubles the space with the
-    fast-path knob, for machines where specialization might not pay.
+
+@dataclass(frozen=True)
+class TimingStats:
+    """Timing distribution of one measured configuration (milliseconds).
+
+    Follows the paper's protocol: the first (warm-up) run is discarded
+    and the statistics summarize the remaining ``runs`` measurements.
     """
-    out = []
-    for tiles in itertools.product(tile_choices, repeat=n_dims):
-        for th in thresholds:
-            for sp in specialize_choices:
-                out.append(TuneConfig(tiles, th, sp))
-    return out
+
+    min_ms: float
+    mean_ms: float
+    std_ms: float
+    runs: int
+
+    @classmethod
+    def from_times(cls, times_ms: list[float]) -> "TimingStats":
+        arr = np.asarray(times_ms, dtype=np.float64)
+        return cls(float(arr.min()), float(arr.mean()),
+                   float(arr.std()), len(times_ms))
+
+    def as_dict(self) -> dict:
+        return {"min_ms": self.min_ms, "mean_ms": self.mean_ms,
+                "std_ms": self.std_ms, "runs": self.runs}
+
+    def render(self) -> str:
+        return (f"{self.min_ms:.2f} ms min, {self.mean_ms:.2f} ms mean "
+                f"(± {self.std_ms:.2f}, n={self.runs})")
 
 
-def _time_call(fn: Callable[[], object],
-               repeats: int) -> tuple[float, float]:
-    """(best ms, std ms) over ``repeats`` runs after one warm-up."""
-    import statistics
-    fn()  # warm up (the paper discards the first run)
+def time_stats(fn: Callable[[], object], runs: int = 6) -> TimingStats:
+    """The paper's protocol with the full distribution: run ``runs``
+    times, discard the first (warm-up), and summarize the rest."""
     times = []
-    for _ in range(repeats):
+    for _ in range(runs):
         t0 = time.perf_counter()
         fn()
         times.append((time.perf_counter() - t0) * 1000.0)
-    std = statistics.pstdev(times) if len(times) > 1 else 0.0
-    return min(times), std
+    kept = times[1:] if len(times) > 1 else times
+    return TimingStats.from_times(kept)
 
 
-def _measure(record: CompileRecord, config: TuneConfig, param_values,
-             inputs, backend: str, n_threads: int, repeats: int,
-             name: str) -> TuneResult:
-    """Time one compiled configuration (always on the calling process)."""
-    plan = record.plan
-    params, images = rebind_values(plan, param_values, inputs)
+@dataclass
+class _Trial:
+    """One configuration's way through :func:`_sweep`.
+
+    ``error`` is the reason it was skipped (``options:``, ``plan:``,
+    ``build:``, ``verify:`` or ``run:``); otherwise ``times`` holds one
+    :class:`TimingStats` per requested thread count.
+    """
+
+    index: int
+    config: object
+    plan: PipelinePlan | None = None
+    info: object = None  # repro.codegen.build.BuildInfo for native builds
+    error: str | None = None
+    times: list[TimingStats] = field(default_factory=list)
+    profile: dict | None = None
+
+    @property
+    def compile_s(self) -> float:
+        return self.info.compile_s if self.info is not None else 0.0
+
+    @property
+    def cache_hit(self) -> bool | None:
+        return self.info.cache_hit if self.info is not None else None
+
+
+def _short_reason(prefix: str, exc: BaseException) -> str:
+    text = " ".join(str(exc).split())
+    if len(text) > 240:
+        text = text[:240] + "..."
+    return f"{prefix}: {type(exc).__name__}: {text}" if text else \
+        f"{prefix}: {type(exc).__name__}"
+
+
+def _compiled(trials: list[_Trial], n_workers: int,
+              compile_one: Callable[[_Trial], _Trial]) -> Iterator[_Trial]:
+    """Yield each trial once compiled: in order on the calling thread when
+    ``n_workers <= 1``, else in completion order from a thread pool (gcc
+    runs as a subprocess, so its builds overlap)."""
+    if n_workers <= 1 or len(trials) <= 1:
+        for trial in trials:
+            yield compile_one(trial)
+        return
+    with ThreadPoolExecutor(max_workers=min(n_workers, len(trials)),
+                            thread_name_prefix="repro-tune") as pool:
+        futures = [pool.submit(compile_one, trial) for trial in trials]
+        for future in as_completed(futures):
+            yield future.result()
+
+
+def _measure(trial: _Trial, param_values, inputs, backend: str, name: str,
+             thread_counts: Sequence[int], runs: int) -> None:
+    """Load (native) or interpret one verified plan and time it at each
+    thread count with :func:`time_stats`."""
     pipe = None
     if backend == "native":
         from repro.codegen.build import load_native
-        pipe = load_native(plan, f"{name}_{record.index}", record.info)
+        pipe = load_native(trial.plan, f"{name}_{trial.index}", trial.info)
 
         def run(n: int):
-            return pipe(params, images, n_threads=n)
+            return pipe(param_values, inputs, n_threads=n)
     else:
         from repro.runtime.executor import execute_plan
 
         def run(n: int):
-            return execute_plan(plan, params, images, n_threads=n)
+            return execute_plan(trial.plan, param_values, inputs,
+                                n_threads=n)
 
-    single, single_std = _time_call(lambda: run(1), repeats)
-    parallel, parallel_std = _time_call(lambda: run(n_threads), repeats)
-    # per-group profile of the last (parallel) run, for instrumented builds
-    profile = None
+    trial.times = [time_stats(lambda: run(n), runs) for n in thread_counts]
+    # per-group profile of the last run, for instrumented builds
     if pipe is not None and pipe.last_stats is not None:
-        profile = pipe.last_stats.as_dict()
-    return TuneResult(config, single, parallel, record.n_groups,
-                      compile_s=record.compile_s,
-                      cache_hit=record.cache_hit,
-                      time_single_std_ms=single_std,
-                      time_parallel_std_ms=parallel_std,
-                      profile=profile)
+        trial.profile = pipe.last_stats.as_dict()
+
+
+def _sweep(outputs, estimates: Mapping, param_values: Mapping,
+           inputs: Mapping, configs: Iterable[tuple[int, object]], *,
+           backend: str, n_workers: int, cache_dir, name: str,
+           thread_counts: Sequence[int], runs: int,
+           instrument: bool = False, hints=None) -> list[_Trial]:
+    """Compile → verify → load → time every ``(index, config)`` pair.
+
+    Compiles fan out over ``n_workers`` threads (see :func:`_compiled`);
+    verification and timing stay on the calling thread, one
+    configuration at a time, in completion order.  Returns every trial
+    in the order given, skipped ones carrying ``error``.
+    """
+    # hints stay a keyword-only extra so an unhinted sweep calls
+    # compile_plan with its historical 3-arg shape
+    hint_kwargs = {"hints": hints} if hints is not None else {}
+    # looked up per call: tests substitute ``repro.verify.verify_plan``
+    from repro.verify import verify_plan
+
+    def compile_one(trial: _Trial) -> _Trial:
+        """Middle end, then gcc for the native backend; a failure becomes
+        ``trial.error``, so one broken configuration cannot abort a
+        sweep."""
+        try:
+            options = trial.config.options()
+        except Exception as exc:
+            trial.error = f"options: {exc}"
+            return trial
+        try:
+            trial.plan = compile_plan(list(outputs), estimates, options,
+                                      **hint_kwargs)
+        except Exception as exc:
+            trial.error = _short_reason("plan", exc)
+            return trial
+        if backend == "native":
+            from repro.codegen.build import BuildError, compile_artifact
+            try:
+                trial.info = compile_artifact(
+                    trial.plan, instrument=instrument, cache_dir=cache_dir)
+            except BuildError as exc:
+                trial.error = _short_reason("build", exc)
+        return trial
+
+    trials = [_Trial(i, config) for i, config in configs]
+    for trial in _compiled(trials, n_workers, compile_one):
+        if trial.error is not None:
+            continue
+        v_report = verify_plan(trial.plan)
+        if not v_report.ok:
+            summary = "; ".join(
+                f"{d.code} {d.message}" for d in v_report.errors[:3])
+            if len(v_report.errors) > 3:
+                summary += f" (+{len(v_report.errors) - 3} more)"
+            trial.error = f"verify: {summary}"
+            continue
+        try:
+            _measure(trial, param_values, inputs, backend, name,
+                     thread_counts, runs)
+        except Exception as exc:
+            trial.error = f"run: {exc}"
+    return trials
 
 
 def autotune(outputs, estimates: Mapping, param_values: Mapping,
@@ -297,13 +423,15 @@ def autotune(outputs, estimates: Mapping, param_values: Mapping,
 
     ``backend`` is ``"native"`` (generated C, as the paper measures) or
     ``"interp"`` (NumPy interpreter, for environments without a C
-    compiler).  Configurations whose compilation fails are skipped and
-    recorded, with the failure reason, in ``report.skipped``.
+    compiler).  Configurations whose compilation or run fails are skipped
+    and recorded, with the failure reason, in ``report.skipped``.
 
-    ``n_workers > 1`` compiles configurations concurrently in worker
-    processes; timing always runs one-at-a-time on the calling process,
-    and the returned report is ordered and selected identically to a
-    serial sweep.
+    ``n_workers > 1`` compiles configurations concurrently on that many
+    threads of the calling process; timing always runs one configuration
+    at a time on the calling thread, and the returned report is ordered
+    and selected identically to a serial sweep.  A serial sweep times
+    each configuration while no compile runs; a parallel one overlaps
+    timing with other configurations' builds.
 
     ``profile=True`` (native backend) builds every configuration with
     in-library per-group timers and attaches the per-group seconds /
@@ -344,7 +472,7 @@ def autotune(outputs, estimates: Mapping, param_values: Mapping,
                           n_threads=n_threads)
     start = time.perf_counter()
     estimates = dict(estimates)
-    measured: list[tuple[int, TuneResult]] = []
+    measured: list[tuple[_Trial, TuneResult]] = []
     skipped: list[tuple[int, SkippedConfig]] = []
     hints_doc = hints.to_dict() if hints is not None else None
 
@@ -374,44 +502,25 @@ def autotune(outputs, estimates: Mapping, param_values: Mapping,
             # anyway — it is the best known schedule for this pipeline
             sweep = [(len(space), winner)]
 
-    tasks = []
-    for i, config in sweep:
-        try:
-            options = config.options()
-        except Exception as exc:
-            skipped.append((i, SkippedConfig(config, f"options: {exc}")))
+    trials = _sweep(outputs, estimates, param_values, inputs, sweep,
+                    backend=backend, n_workers=n_workers,
+                    cache_dir=cache_dir, name=name,
+                    thread_counts=(1, n_threads), runs=repeats + 1,
+                    instrument=profile and backend == "native",
+                    hints=hints)
+    for trial in trials:
+        if trial.error is not None:
+            skipped.append((trial.index,
+                            SkippedConfig(trial.config, trial.error)))
             continue
-        tasks.append(CompileTask(i, tuple(outputs), estimates, options,
-                                 backend=backend,
-                                 cache_dir=str(cache_dir) if cache_dir
-                                 else None,
-                                 instrument=profile and backend == "native",
-                                 hints=hints))
-    configs = dict(sweep)
-    infos: dict[int, object] = {}
-    # looked up per call: tests substitute ``repro.verify.verify_plan``
-    from repro.verify import verify_plan
-    for record in run_compile_farm(tasks, n_workers):
-        config = configs[record.index]
-        infos[record.index] = record.info
-        if not record.ok:
-            skipped.append((record.index,
-                            SkippedConfig(config, record.error)))
-            continue
-        v_report = verify_plan(record.plan)
-        if not v_report.ok:
-            summary = "; ".join(
-                f"{d.code} {d.message}" for d in v_report.errors[:3])
-            if len(v_report.errors) > 3:
-                summary += f" (+{len(v_report.errors) - 3} more)"
-            skipped.append((record.index,
-                            SkippedConfig(config, f"verify: {summary}")))
-            continue
-        measured.append((record.index,
-                         _measure(record, config, param_values, inputs,
-                                  backend, n_threads, repeats, name)))
+        single, parallel = trial.times
+        measured.append((trial, TuneResult(
+            trial.config, single.min_ms, parallel.min_ms,
+            len(trial.plan.group_plans), compile_s=trial.compile_s,
+            cache_hit=trial.cache_hit, time_single_std_ms=single.std_ms,
+            time_parallel_std_ms=parallel.std_ms, profile=trial.profile)))
 
-    report.results = [r for _, r in sorted(measured, key=lambda t: t[0])]
+    report.results = [r for _, r in measured]
     report.skipped = [s for _, s in sorted(skipped, key=lambda t: t[0])]
     report.elapsed_s = time.perf_counter() - start
 
@@ -419,8 +528,7 @@ def autotune(outputs, estimates: Mapping, param_values: Mapping,
         from repro.codegen.build import build_flags
         from repro.schedule.store import StoredSchedule
         best = report.best(parallel=True)
-        best_index = next(i for i, r in measured if r is best)
-        info = infos.get(best_index)
+        info = next(t.info for t, r in measured if r is best)
         artifact = None
         if info is not None:
             artifact = {"key": info.key, "flags": list(build_flags()),

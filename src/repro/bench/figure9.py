@@ -13,15 +13,15 @@ and each configuration's single-thread / N-thread times are printed (the
 figure's scatter points), plus the best configuration and total sweep
 time (the paper reports under 30 minutes per benchmark).
 
-``--workers N`` fans the compile jobs out over N processes (timing stays
-serialized); ``--json PATH`` writes every app's serialized
+``--workers N`` compiles on N threads (timing stays on the calling
+thread, one configuration at a time); ``--json PATH`` writes every app's serialized
 :class:`~repro.autotune.tuner.TuningReport` to one JSON file, including
 per-configuration compile times and compile-cache hits.
 
 ``--profile`` builds every configuration with in-library per-group
 timers and folds the per-group seconds / tile counts into the report;
 ``--trace out.json`` records compiler-phase spans for every
-configuration compiled in-process and writes a Chrome
+configuration (compile threads included) and writes a Chrome
 ``chrome://tracing`` / Perfetto-loadable trace file.
 """
 
@@ -131,7 +131,8 @@ def main() -> None:
     parser.add_argument("--threads", type=int, default=4)
     parser.add_argument("--grid", default="coarse",
                         choices=["coarse", "paper", "smoke"])
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="compile threads for the sweep (1: serial)")
     parser.add_argument("--json", default=None,
                         help="write all TuningReports to this JSON file")
     parser.add_argument("--trace", default=None, metavar="PATH",

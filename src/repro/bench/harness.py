@@ -3,8 +3,8 @@
 Provides app instantiation at several scales (``paper`` = Table 2's image
 sizes; ``small``/``tiny`` for quick runs), the paper's four PolyMage
 variants (base / base+vec / opt / opt+vec, Figure 10's solid series),
-timing with the paper's protocol (six runs, first discarded), and
-markdown table formatting.
+timing with the paper's protocol (six runs, first discarded; see
+:func:`repro.autotune.tuner.time_stats`), and markdown table formatting.
 
 Substitution note: the Halide comparison points (H-tuned / H-matched /
 OpenTuner) cannot be measured without Halide binaries.  Their *roles* are
@@ -17,7 +17,6 @@ for the OpenTuner axis.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
@@ -27,6 +26,9 @@ from repro import CompileOptions, compile_pipeline
 from repro.apps import bilateral, camera, harris, interpolate, iunsharp
 from repro.apps import laplacian, pyramid, unsharp
 from repro.apps.base import AppSpec
+# the paper's timing protocol lives with the autotuner (the core must not
+# import repro.bench); re-exported for the table and figure harnesses
+from repro.autotune.tuner import TimingStats, time_stats  # noqa: F401
 
 #: builders at full structural scale (levels etc. as in the paper)
 APP_BUILDERS: dict[str, Callable[[], AppSpec]] = {
@@ -211,46 +213,6 @@ def cache_summary(cache_dir=None) -> str:
     return (f"compile cache: {cache.root} — {n} artifacts, "
             f"{cache.size_bytes() / 1e6:.1f} MB, "
             f"{stats.hits} hits / {stats.misses} misses this process")
-
-
-@dataclass(frozen=True)
-class TimingStats:
-    """Timing distribution of one measured configuration (milliseconds).
-
-    Follows the paper's protocol: the first (warm-up) run is discarded
-    and the statistics summarize the remaining ``runs`` measurements.
-    """
-
-    min_ms: float
-    mean_ms: float
-    std_ms: float
-    runs: int
-
-    @classmethod
-    def from_times(cls, times_ms: list[float]) -> "TimingStats":
-        arr = np.asarray(times_ms, dtype=np.float64)
-        return cls(float(arr.min()), float(arr.mean()),
-                   float(arr.std()), len(times_ms))
-
-    def as_dict(self) -> dict:
-        return {"min_ms": self.min_ms, "mean_ms": self.mean_ms,
-                "std_ms": self.std_ms, "runs": self.runs}
-
-    def render(self) -> str:
-        return (f"{self.min_ms:.2f} ms min, {self.mean_ms:.2f} ms mean "
-                f"(± {self.std_ms:.2f}, n={self.runs})")
-
-
-def time_stats(fn: Callable[[], object], runs: int = 6) -> TimingStats:
-    """The paper's protocol with the full distribution: run ``runs``
-    times, discard the first (warm-up), and summarize the rest."""
-    times = []
-    for _ in range(runs):
-        t0 = time.perf_counter()
-        fn()
-        times.append((time.perf_counter() - t0) * 1000.0)
-    kept = times[1:] if len(times) > 1 else times
-    return TimingStats.from_times(kept)
 
 
 def time_ms(fn: Callable[[], object], runs: int = 6) -> float:

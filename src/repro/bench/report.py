@@ -58,7 +58,7 @@ def main() -> None:
     parser.add_argument("--grid", default="coarse",
                         choices=["coarse", "paper"])
     parser.add_argument("--workers", type=int, default=1,
-                        help="compile-farm processes for the autotune sweep")
+                        help="compile threads for the autotune sweep")
     parser.add_argument("-o", "--output", default=None)
     args = parser.parse_args()
     report = generate_report(args.scale, args.threads, args.search_budget,

@@ -16,9 +16,10 @@ emitted with one canonical entry-point symbol; the user-facing name is
 cosmetic (it only affects the :attr:`NativePipeline.source` listing).
 Publication is atomic: sources and shared objects are written to
 uniquely-named temporaries in the cache directory and moved into place
-with :func:`os.replace`, so concurrent writers — e.g. the parallel
-autotuner's compile farm (:mod:`repro.autotune.farm`) — can race on the
-same key without a reader ever observing a torn file.
+with :func:`os.replace`, so writers in different processes can race on
+the same key without a reader ever observing a torn file.  Within one
+process each key is compiled once: a concurrent caller for a key waits
+for the build in flight and counts a hit.
 """
 
 from __future__ import annotations
@@ -179,8 +180,11 @@ class CompileCache:
     Layout: ``<root>/<digest>.so`` plus the matching ``<digest>.c`` for
     inspection, where ``digest`` is a SHA-256 over flags and source.
     Writers compile into dot-prefixed temporaries and publish with
-    ``os.replace``; duplicate concurrent builds of the same key are
-    allowed (both produce identical bytes, last replace wins).
+    ``os.replace``.  Within a process a per-key lock compiles each key
+    once: a second caller waits for the build in flight, then counts a
+    hit, and different keys never wait on each other.  Across processes
+    duplicate builds of one key are allowed (both produce identical
+    bytes, last replace wins).
     """
 
     def __init__(self, root: str | Path | None = None):
@@ -188,6 +192,7 @@ class CompileCache:
         self.root.mkdir(parents=True, exist_ok=True)
         self._stats = CacheStats()
         self._lock = threading.Lock()
+        self._key_locks: dict[str, threading.Lock] = {}
 
     # -- keys --------------------------------------------------------------
     @staticmethod
@@ -207,33 +212,37 @@ class CompileCache:
         """Return the artifact for (source, flags), compiling on miss."""
         key = self.key_for(source, flags)
         so_path = self.so_path(key)
-        if so_path.exists():
-            with self._lock:
-                self._stats.hits += 1
-            return BuildInfo(key, so_path, True, 0.0)
-        cc = cc or find_compiler()
-        if cc is None:
-            raise BuildError("no C compiler found (tried gcc, cc, clang)")
-        t0 = time.perf_counter()
-        tag = uuid.uuid4().hex
-        tmp_c = self.root / f".{key}.{tag}.c"
-        tmp_so = self.root / f".{key}.{tag}.so"
-        try:
-            tmp_c.write_text(source)
-            cmd = [cc, *flags, str(tmp_c), "-o", str(tmp_so), "-lm"]
-            result = subprocess.run(cmd, capture_output=True, text=True)
-            if result.returncode != 0:
-                raise BuildError(
-                    f"C compilation failed:\n{' '.join(cmd)}\n"
-                    f"{result.stderr}")
-            os.replace(tmp_c, so_path.with_suffix(".c"))
-            os.replace(tmp_so, so_path)
-        finally:
-            for tmp in (tmp_c, tmp_so):
-                tmp.unlink(missing_ok=True)
+        with self._lock:
+            key_lock = self._key_locks.setdefault(key, threading.Lock())
+        with key_lock:
+            if so_path.exists():
+                with self._lock:
+                    self._stats.hits += 1
+                return BuildInfo(key, so_path, True, 0.0)
+            cc = cc or find_compiler()
+            if cc is None:
+                raise BuildError("no C compiler found (tried gcc, cc, clang)")
+            t0 = time.perf_counter()
+            tag = uuid.uuid4().hex
+            tmp_c = self.root / f".{key}.{tag}.c"
+            tmp_so = self.root / f".{key}.{tag}.so"
+            try:
+                tmp_c.write_text(source)
+                cmd = [cc, *flags, str(tmp_c), "-o", str(tmp_so), "-lm"]
+                result = subprocess.run(cmd, capture_output=True, text=True)
+                if result.returncode != 0:
+                    raise BuildError(
+                        f"C compilation failed:\n{' '.join(cmd)}\n"
+                        f"{result.stderr}")
+                os.replace(tmp_c, so_path.with_suffix(".c"))
+                os.replace(tmp_so, so_path)
+            finally:
+                for tmp in (tmp_c, tmp_so):
+                    tmp.unlink(missing_ok=True)
+            compile_s = time.perf_counter() - t0
         with self._lock:
             self._stats.misses += 1
-        return BuildInfo(key, so_path, False, time.perf_counter() - t0)
+        return BuildInfo(key, so_path, False, compile_s)
 
     # -- inspection / maintenance -----------------------------------------
     def entries(self) -> list[Path]:
@@ -630,9 +639,9 @@ def compile_artifact(plan: PipelinePlan, *, vectorize: bool = True,
                      extra_flags: tuple[str, ...] = ()) -> BuildInfo:
     """Generate C for a plan and compile it into the cache (no ctypes load).
 
-    This is the process-safe half of :func:`build_native`: it can run in a
-    worker process and its :class:`BuildInfo` result pickles back to the
-    parent, which loads the published artifact with :func:`load_native`.
+    This is the load-free half of :func:`build_native`: the autotuner
+    runs it on compile threads and loads the published artifact with
+    :func:`load_native` on the timing thread.
     ``instrument=True`` compiles with in-library per-group timers (the
     different source hashes to a distinct cache key, so instrumented and
     plain builds of the same plan coexist in the cache).
@@ -649,10 +658,9 @@ def load_native(plan: PipelinePlan, name: str = "pipeline",
                 info: BuildInfo | None = None) -> NativePipeline:
     """Wrap a published artifact as a callable :class:`NativePipeline`.
 
-    ``info`` is the result of :func:`compile_artifact` (possibly from
-    another process).  The ``.source`` attribute is presented under the
-    caller's ``name`` even though the artifact exports the canonical
-    symbol.
+    ``info`` is the result of :func:`compile_artifact`.  The ``.source``
+    attribute is presented under the caller's ``name`` even though the
+    artifact exports the canonical symbol.
     """
     if info is None:
         return build_native(plan, name)

@@ -1,13 +1,10 @@
-"""Parallel autotuning: compile farm, skip recording, report JSON."""
+"""Parallel autotuning: threaded compiles, skip recording, report JSON."""
 
 import numpy as np
 import pytest
 
 from repro.apps.harris import build_pipeline
-from repro.autotune import farm as farm_mod
-from repro.autotune.farm import (
-    CompileTask, compile_one, rebind_values, run_compile_farm,
-)
+from repro.autotune import tuner as tuner_mod
 from repro.autotune.tuner import (
     SkippedConfig, TuneConfig, TuneResult, TuningReport, autotune,
 )
@@ -59,30 +56,34 @@ def test_second_native_run_all_cache_hits(harris_small, tmp_path):
 
 
 def test_plan_failure_recorded_not_fatal(harris_small, monkeypatch):
-    """A middle-end crash on one configuration skips it with a reason."""
+    """A middle-end crash on one configuration skips it with a reason,
+    on the serial path and on the threaded one."""
     app, values, inputs = harris_small
-    real_compile_plan = farm_mod.compile_plan
+    real_compile_plan = tuner_mod.compile_plan
 
     def exploding(outputs, estimates, options):
         if options.tile_sizes == (32, 32):
             raise RuntimeError("synthetic middle-end failure")
         return real_compile_plan(outputs, estimates, options)
 
-    monkeypatch.setattr(farm_mod, "compile_plan", exploding)
-    report = autotune(app.outputs, values, values, inputs, space=SPACE,
-                      backend="interp", n_threads=2, repeats=1)
-    assert [r.config for r in report.results] == \
-        [c for c in SPACE if c.tile_sizes != (32, 32)]
-    assert len(report.skipped) == 1
-    skip = report.skipped[0]
-    assert skip.config.tile_sizes == (32, 32)
-    assert "plan" in skip.reason and "synthetic" in skip.reason
+    monkeypatch.setattr(tuner_mod, "compile_plan", exploding)
+    for n_workers in (1, 2):
+        report = autotune(app.outputs, values, values, inputs, space=SPACE,
+                          backend="interp", n_threads=2, repeats=1,
+                          n_workers=n_workers)
+        assert [r.config for r in report.results] == \
+            [c for c in SPACE if c.tile_sizes != (32, 32)]
+        assert len(report.skipped) == 1
+        skip = report.skipped[0]
+        assert skip.config.tile_sizes == (32, 32)
+        assert "plan" in skip.reason and "synthetic" in skip.reason
 
 
 @pytest.mark.skipif(not compiler_available(), reason="no C compiler")
 def test_build_failure_recorded_not_fatal(harris_small, monkeypatch,
                                           tmp_path):
-    """A BuildError on one configuration must not abort the sweep."""
+    """A BuildError on one configuration must not abort the sweep, on
+    the serial path or the threaded one."""
     from repro.codegen import build as build_mod
     app, values, inputs = harris_small
     real = build_mod.compile_artifact
@@ -95,12 +96,16 @@ def test_build_failure_recorded_not_fatal(harris_small, monkeypatch,
         return real(plan, **kwargs)
 
     monkeypatch.setattr(build_mod, "compile_artifact", failing)
-    report = autotune(app.outputs, values, values, inputs, space=SPACE[:2],
-                      n_threads=2, repeats=1, cache_dir=tmp_path)
-    assert len(report.results) == 1
-    assert len(report.skipped) == 1
-    assert report.skipped[0].reason.startswith("build:")
-    assert "synthetic compiler explosion" in report.skipped[0].reason
+    for n_workers in (1, 2):
+        calls.clear()
+        report = autotune(app.outputs, values, values, inputs,
+                          space=SPACE[:2], n_threads=2, repeats=1,
+                          n_workers=n_workers,
+                          cache_dir=tmp_path / f"w{n_workers}")
+        assert len(report.results) == 1
+        assert len(report.skipped) == 1
+        assert report.skipped[0].reason.startswith("build:")
+        assert "synthetic compiler explosion" in report.skipped[0].reason
 
 
 def test_invalid_options_recorded_not_fatal(harris_small):
@@ -137,30 +142,38 @@ def test_report_save_load(tmp_path):
     assert TuningReport.load(path).results == report.results
 
 
-def test_rebind_values_after_pickle(harris_small):
-    """Plans that crossed a process boundary get name-matched mappings."""
-    import pickle
-    app, values, inputs = harris_small
-    task = CompileTask(0, tuple(app.outputs), dict(values),
-                       TuneConfig((16, 16), 0.4).options(),
-                       backend="interp")
-    record = pickle.loads(pickle.dumps(compile_one(task)))
-    params, images = rebind_values(record.plan, values, inputs)
-    assert len(params) == len(values) and len(images) == len(inputs)
-    assert all(k in record.plan.estimates for k in params)
-    from repro.runtime.executor import execute_plan
-    out = execute_plan(record.plan, params, images)
-    assert out["harris"].shape
+def test_farm_serial_path_yields_in_order():
+    """One worker compiles on the calling thread, in configuration order,
+    and only when the caller asks for the next configuration — so a
+    serial sweep never times while a build runs."""
+    import threading
+    compiled = []
+
+    def compile_one(trial):
+        compiled.append((trial.index, threading.get_ident()))
+        return trial
+
+    trials = [tuner_mod._Trial(i, c) for i, c in enumerate(SPACE)]
+    order = []
+    for trial in tuner_mod._compiled(trials, 1, compile_one):
+        order.append(trial.index)
+        assert len(compiled) == len(order)
+    assert order == list(range(len(SPACE)))
+    assert {tid for _, tid in compiled} == {threading.get_ident()}
 
 
-def test_farm_serial_path_yields_in_order(harris_small):
+def test_threaded_sweep_traces_every_compile(harris_small):
+    """Compiles on worker threads record their compiler spans on the
+    caller's tracer: one ``compile_plan`` root per configuration."""
+    from repro.observe import tracing
     app, values, inputs = harris_small
-    tasks = [CompileTask(i, tuple(app.outputs), dict(values),
-                         c.options(), backend="interp")
-             for i, c in enumerate(SPACE[:2])]
-    records = list(run_compile_farm(tasks, n_workers=1))
-    assert [r.index for r in records] == [0, 1]
-    assert all(r.ok and r.n_groups > 0 for r in records)
+    with tracing() as tracer:
+        report = autotune(app.outputs, values, values, inputs, space=SPACE,
+                          backend="interp", n_threads=2, repeats=1,
+                          n_workers=2)
+    assert len(report.results) == len(SPACE)
+    names = [span.name for span in tracer.spans()]
+    assert names.count("compile_plan") == len(SPACE)
 
 
 def test_random_search_parallel_and_skips(harris_small):

@@ -1,6 +1,8 @@
 """The persistent, concurrency-safe compiled-artifact cache."""
 
 import multiprocessing
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from repro import CompileOptions, compile_pipeline
 from repro.apps.harris import build_pipeline
 from repro.codegen.build import (
     CANONICAL_FUNC, CompileCache, build_flags, build_native,
-    compile_artifact, compiler_available, get_cache, load_native,
+    compile_artifact, compiler_available, find_compiler, get_cache,
+    load_native,
 )
 
 pytestmark = pytest.mark.skipif(not compiler_available(),
@@ -139,3 +142,87 @@ def test_concurrent_builds_publish_one_valid_artifact(tmp_path):
     # no leftover temporaries
     assert not list(tmp_path.glob(".*.so")) and \
         not list(tmp_path.glob(".*.c"))
+
+
+def test_threads_compile_each_key_once(tmp_path):
+    """Two threads asking for one key while it compiles: the second
+    waits for the build in flight, so gcc runs once — one miss, one
+    hit."""
+    log, started = tmp_path / "cc.log", tmp_path / "cc.started"
+    slow_cc = tmp_path / "slow-cc"
+    slow_cc.write_text(f"""#!/bin/sh
+echo run >> "{log}"
+touch "{started}"
+sleep 1
+exec "{find_compiler()}" "$@"
+""")
+    slow_cc.chmod(0o755)
+    cache = CompileCache(tmp_path / "cache")
+    source = "int repro_once(void) { return 1; }\n"
+    infos = []
+
+    def build():
+        infos.append(cache.get_or_compile(source, build_flags(),
+                                          str(slow_cc)))
+
+    first = threading.Thread(target=build)
+    first.start()
+    deadline = time.monotonic() + 30
+    while not started.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert started.exists(), "the compiler wrapper never ran"
+    second = threading.Thread(target=build)
+    second.start()
+    for thread in (first, second):
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert log.read_text().split() == ["run"]
+    stats = cache.stats()
+    assert (stats.misses, stats.hits) == (1, 1)
+    assert sorted(info.cache_hit for info in infos) == [False, True]
+    assert len({info.so_path for info in infos}) == 1
+
+
+def test_key_locks_under_thread_stress(tmp_path):
+    """More threads than cores, a short switch interval, four keys asked
+    for by eight threads in different orders: each key is compiled once
+    and every other lookup counts a hit (a lost update would show)."""
+    import sys
+    log = tmp_path / "cc.log"
+    fake_cc = tmp_path / "fake-cc"
+    fake_cc.write_text(f"""#!/bin/sh
+echo run >> "{log}"
+while [ $# -gt 0 ]; do
+  if [ "$1" = "-o" ]; then : > "$2"; fi
+  shift
+done
+""")
+    fake_cc.chmod(0o755)
+    cache = CompileCache(tmp_path / "cache")
+    sources = [f"int repro_stress_{i};\n" for i in range(4)]
+    errors = []
+
+    def build(offset):
+        try:
+            for i in range(len(sources)):
+                cache.get_or_compile(sources[(i + offset) % len(sources)],
+                                     build_flags(), str(fake_cc))
+        except Exception as exc:  # surfaced by the assert below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(n,))
+                   for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    assert not errors
+    assert len(log.read_text().split()) == len(sources)
+    stats = cache.stats()
+    assert (stats.misses, stats.hits) == (4, 28)

@@ -12,7 +12,7 @@ import pytest
 
 from repro import CompileOptions, compile_pipeline
 from repro.apps import harris
-from repro.autotune import autotune
+from repro.autotune import autotune, default_space
 from repro.codegen.build import build_native, compile_artifact
 from repro.compiler.grouping import group_pipeline
 from repro.observe.metrics import LatencyWindow
@@ -59,6 +59,9 @@ SURFACES = {
         ["space", "n_dims", "backend", "n_threads", "repeats", "name",
          "n_workers", "cache_dir", "profile", "hints", "store",
          "store_root"]),
+    "default_space": (
+        _keywords(default_space),
+        ["tile_choices", "thresholds"]),
     "group_pipeline": (
         _keywords(group_pipeline),
         ["tight_overlap", "hints"]),
