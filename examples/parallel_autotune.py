@@ -1,8 +1,8 @@
 """Parallel autotuning with the concurrency-safe compile cache.
 
 Sweeps a model-restricted configuration space for Harris corner
-detection with a process-pool compile farm (timing stays serialized on
-the parent), then repeats the sweep to show every configuration hitting
+detection, compiling on a thread pool (each distinct C source is built
+once; timing stays on the calling thread), then repeats the sweep to show every configuration hitting
 the persistent compile cache, and writes the structured TuningReport to
 JSON::
 
